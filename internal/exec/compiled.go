@@ -87,15 +87,24 @@ func NewRunner(ks []kernels.Kernel, prog *core.Program) *Runner {
 	r := &Runner{prog: prog, ks: ks, wSeg: make([]int32, 1, prog.NumWPartitions()+1)}
 	for w := 0; w < prog.NumWPartitions(); w++ {
 		g1 := int(prog.WSeg[w+1])
+		// end is the exclusive end of the current maximal span alternating
+		// between two loops, scanned once per span so binding stays linear
+		// in segments even when no segment of a long span coalesces.
+		// Consecutive segments of one w-partition always differ in loop, so
+		// every g with g+1 < end pairs the span's two loops and would scan
+		// to the same end.
+		end := 0
 		for g := int(prog.WSeg[w]); g < g1; {
 			// Coalesce a maximal span alternating between two loops into one
 			// pair segment when its segments are short enough that per-batch
 			// dispatch would dominate.
 			if g+1 < g1 {
 				l1, l2 := prog.SegLoop[g], prog.SegLoop[g+1]
-				end := g + 2
-				for end < g1 && (prog.SegLoop[end] == l1 || prog.SegLoop[end] == l2) {
-					end++
+				if g+1 >= end {
+					end = g + 2
+					for end < g1 && (prog.SegLoop[end] == l1 || prog.SegLoop[end] == l2) {
+						end++
+					}
 				}
 				iters := int(prog.SegOff[end] - prog.SegOff[g])
 				if iters < (end-g)*pairRunLimit {

@@ -40,6 +40,10 @@ func (r *Runner) AttachLayout(lay *relayout.Layout) error {
 	if lay.Program() != prog {
 		return fmt.Errorf("exec: layout was built for a different program")
 	}
+	// Pair bodies are fused once per loop pair, like NewRunner's pairFor,
+	// not once per pair span.
+	type pairKey struct{ a, b uint8 }
+	pairs := map[pairKey]kernels.PackedPairRunner{}
 	packed := make([]packedSeg, len(r.segs))
 	for i := range r.segs {
 		sg := &r.segs[i]
@@ -53,9 +57,13 @@ func (r *Runner) AttachLayout(lay *relayout.Layout) error {
 			// order and the other loop's entries land in the other stream), so
 			// one cursor pair per loop covers the span.
 			l1, l2 := prog.SegLoop[g0], prog.SegLoop[g0+1]
-			fn, ok := kernels.FusePackedPair(r.ks[l1], r.ks[l2], int(l1), int(l2))
-			if !ok {
-				return fmt.Errorf("exec: no packed pair body for %s+%s", r.ks[l1].Name(), r.ks[l2].Name())
+			fn := pairs[pairKey{l1, l2}]
+			if fn == nil {
+				var ok bool
+				if fn, ok = kernels.FusePackedPair(r.ks[l1], r.ks[l2], int(l1), int(l2)); !ok {
+					return fmt.Errorf("exec: no packed pair body for %s+%s", r.ks[l1].Name(), r.ks[l2].Name())
+				}
+				pairs[pairKey{l1, l2}] = fn
 			}
 			packed[i] = packedSeg{
 				pair: fn,

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -23,8 +24,10 @@ type RunMeta struct {
 	// platform does not expose one).
 	CPUModel string `json:"cpu_model"`
 	// GitCommit is the VCS revision baked into the binary by the Go
-	// toolchain ("unknown" for builds outside a checkout or with
-	// -buildvcs=off); Dirty marks uncommitted changes at build time.
+	// toolchain or, when the build carries none (go run, -buildvcs=off),
+	// the commit checked out in the enclosing .git; "unknown" outside a
+	// checkout. Dirty marks uncommitted changes at build time and is only
+	// known from the build stamp.
 	GitCommit string `json:"git_commit"`
 	Dirty     bool   `json:"git_dirty,omitempty"`
 	// Topology describes the machine shape scaling numbers depend on.
@@ -71,7 +74,72 @@ func CollectRunMeta() RunMeta {
 			}
 		}
 	}
+	if m.GitCommit == "unknown" {
+		if wd, err := os.Getwd(); err == nil {
+			if c := gitHead(wd); c != "" {
+				m.GitCommit = c
+			}
+		}
+	}
 	return m
+}
+
+// gitHead returns the commit checked out in the git repository enclosing
+// dir, read from the repository files without running git: HEAD holds either
+// a commit (detached) or "ref: <name>", whose commit is in the loose ref file
+// or, once git has packed it, in packed-refs. It returns "" when dir is not
+// inside a repository or the commit cannot be resolved (a worktree or
+// submodule, whose .git is a file, included).
+func gitHead(dir string) string {
+	var gitDir string
+	for d := filepath.Clean(dir); ; {
+		gitDir = filepath.Join(d, ".git")
+		if _, err := os.Stat(gitDir); err == nil {
+			break
+		}
+		parent := filepath.Dir(d)
+		if parent == d {
+			return ""
+		}
+		d = parent
+	}
+	data, err := os.ReadFile(filepath.Join(gitDir, "HEAD"))
+	if err != nil {
+		return ""
+	}
+	head := strings.TrimSpace(string(data))
+	ref, symbolic := strings.CutPrefix(head, "ref:")
+	if !symbolic {
+		return commitHash(head)
+	}
+	ref = strings.TrimSpace(ref)
+	if data, err := os.ReadFile(filepath.Join(gitDir, filepath.FromSlash(ref))); err == nil {
+		return commitHash(strings.TrimSpace(string(data)))
+	}
+	data, err = os.ReadFile(filepath.Join(gitDir, "packed-refs"))
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if hash, name, ok := strings.Cut(strings.TrimSpace(line), " "); ok && name == ref {
+			return commitHash(hash)
+		}
+	}
+	return ""
+}
+
+// commitHash returns s when it is a hex object name (SHA-1 or SHA-256),
+// else "".
+func commitHash(s string) string {
+	if len(s) != 40 && len(s) != 64 {
+		return ""
+	}
+	for _, c := range s {
+		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f') {
+			return ""
+		}
+	}
+	return s
 }
 
 // collectTopology gathers the machine shape from Linux's /proc and /sys;

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -78,6 +79,49 @@ func TestTracerSeesInspectionAndLifecycle(t *testing.T) {
 	}
 	if err := tr.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSessionNewEventGolden pins the session.new line shape: emitted once
+// the session's executor is bound, with the binding time and whether the
+// shared packed layout had to be rebuilt privately because the operation's
+// matrix values changed since it was packed.
+func TestSessionNewEventGolden(t *testing.T) {
+	var buf bytes.Buffer
+	tr := NewTracer(&buf)
+	m := RandomSPD(300, 4, 24)
+	op, err := NewOperation(MvMv, m, Options{Threads: 4, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := op.NewSession(); err != nil {
+		t.Fatal(err)
+	}
+	m.csr.X[0] += 1 // the layout now packs stale values
+	s, err := op.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := s.Health(); h.Mode != ModePacked {
+		t.Fatalf("re-laid session runs %v, want packed", h.Mode)
+	}
+	shape := regexp.MustCompile(`^\{"ts":"[^"]+","ev":"session\.new","session":\d+,"op":\d+,"combo":"MV-MV","dur_ns":(\d+),"relayout":(true|false)\}$`)
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if !strings.Contains(line, `"ev":"session.new"`) {
+			continue
+		}
+		sub := shape.FindStringSubmatch(line)
+		if sub == nil {
+			t.Fatalf("session.new line shape drifted:\n%s", line)
+		}
+		if sub[1] == "0" {
+			t.Fatalf("session.new without a binding time: %s", line)
+		}
+		got = append(got, sub[2])
+	}
+	if strings.Join(got, ",") != "false,true" {
+		t.Fatalf("session.new relayout flags = %v, want [false true]", got)
 	}
 }
 

@@ -585,8 +585,9 @@ func buildArtifacts(inst *combos.Instance, sched *core.Schedule, tr *Tracer, id 
 // may come from another tenant (the cache, or a parent operation): the
 // schedule and program depend only on the sparsity pattern and are shared
 // as-is, but the packed layout baked in matrix values, so it is verified
-// against this state's kernels and rebuilt privately on a mismatch.
-func (e *execState) bindArtifacts(art cache.Artifacts, shared bool) {
+// against this state's kernels and rebuilt privately on a mismatch. It
+// reports whether the mismatch forced that private re-layout.
+func (e *execState) bindArtifacts(art cache.Artifacts, shared bool) (relaid bool) {
 	e.sched = art.Schedule
 	e.progErr, e.layErr = art.ProgramErr, art.LayoutErr
 	if art.Program == nil {
@@ -607,6 +608,7 @@ func (e *execState) bindArtifacts(art cache.Artifacts, shared bool) {
 	}
 	if shared {
 		if err := lay.VerifySources(e.inst.Kernels); err != nil {
+			relaid = true
 			fresh, ferr := relayout.Build(art.Program, e.inst.Kernels)
 			if ferr != nil {
 				e.layErr = ferr.Error()
@@ -622,6 +624,7 @@ func (e *execState) bindArtifacts(art cache.Artifacts, shared bool) {
 		return
 	}
 	e.layout = lay
+	return
 }
 
 // modeLocked reads the current rung; e.mu must be held.
@@ -863,11 +866,14 @@ func (op *Operation) NewSession() (*Session, error) {
 	}
 	op.mu.Unlock()
 	s := &Session{execState: execState{inst: clone, th: op.th, steal: op.steal, spin: op.spin, watchdog: op.watchdog, id: nextStateID.Add(1), tr: op.tr}}
+	t0 := time.Now()
+	relaid := s.bindArtifacts(art, true)
 	s.tr.raw().Emit("session.new",
 		telemetry.Int("session", s.id),
 		telemetry.Int("op", op.id),
-		telemetry.String("combo", clone.Name))
-	s.bindArtifacts(art, true)
+		telemetry.String("combo", clone.Name),
+		telemetry.Dur("dur_ns", time.Since(t0)),
+		telemetry.Bool("relayout", relaid))
 	return s, nil
 }
 
