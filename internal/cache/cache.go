@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sparsefusion/internal/core"
+	"sparsefusion/internal/exec"
 	"sparsefusion/internal/relayout"
 )
 
@@ -19,7 +20,11 @@ type Artifacts struct {
 	// Program is the schedule compiled to the flat executor form; nil when
 	// the schedule exceeds the compiled representation (ProgramErr says why),
 	// in which case consumers run the legacy executor.
-	Program    *core.Program
+	Program *core.Program
+	// Plan is the program's dispatch plan, set whenever Program is. Every
+	// consumer of the entry binds it to its own kernels (exec.Plan.Bind)
+	// instead of planning again, so one plan serves the whole fingerprint.
+	Plan       *exec.Plan
 	ProgramErr string
 	// Layout is the schedule-order packed re-layout; nil when the chain does
 	// not support packing (LayoutErr says why). Unlike the schedule and
@@ -27,6 +32,23 @@ type Artifacts struct {
 	// Layout.VerifySources against their kernels before sharing it.
 	Layout    *relayout.Layout
 	LayoutErr string
+}
+
+// Bytes returns the artifacts' resident footprint in bytes: program, plan
+// and packed layout (streams plus segment cursors). The schedule is left
+// out: it is the inspector's product, not what execution keeps hot.
+func (a *Artifacts) Bytes() int64 {
+	var n int64
+	if a.Program != nil {
+		n += a.Program.Bytes()
+	}
+	if a.Plan != nil {
+		n += a.Plan.Bytes()
+	}
+	if a.Layout != nil {
+		n += 4 * int64(a.Layout.Words()+len(a.Layout.SegEnt))
+	}
+	return n
 }
 
 // Builder supplies the three stages of a miss. Inspect is the expensive part
@@ -50,6 +72,8 @@ type Entry struct {
 	FromDisk bool
 
 	lastUse atomic.Int64
+	// bytes is Artifacts.Bytes, fixed at build: entries are immutable.
+	bytes int64
 }
 
 // Config tunes a Cache.
@@ -133,6 +157,8 @@ type Cache struct {
 	// lock-free; writes happen only on misses under mu.
 	entries sync.Map
 	count   atomic.Int64
+	// resident sums the published entries' artifact bytes.
+	resident atomic.Int64
 	// clock stamps recency for the eviction scan; monotonically increasing,
 	// bumped on every touch.
 	clock atomic.Int64
@@ -282,7 +308,7 @@ func (c *Cache) build(key Key, b Builder) (*Entry, error) {
 	if art.Schedule == nil {
 		art.Schedule = sched
 	}
-	e := &Entry{Key: key, Artifacts: art, FromDisk: fromDisk}
+	e := &Entry{Key: key, Artifacts: art, FromDisk: fromDisk, bytes: art.Bytes()}
 	e.lastUse.Store(c.clock.Add(1))
 	if c.dir != "" && !fromDisk {
 		if err := c.saveDisk(key, art.Schedule); err != nil {
@@ -305,6 +331,7 @@ func (c *Cache) publish(key Key, e *Entry) {
 	if _, loaded := c.entries.LoadOrStore(key, e); loaded {
 		return
 	}
+	c.resident.Add(e.bytes)
 	if int(c.count.Add(1)) <= c.max {
 		return
 	}
@@ -323,6 +350,7 @@ func (c *Cache) publish(key Key, e *Entry) {
 	if old != nil {
 		c.entries.Delete(oldKey)
 		c.count.Add(-1)
+		c.resident.Add(-old.bytes)
 		c.evictions.Add(1)
 		c.emit(EventEvict, oldKey, 0, "")
 	}
@@ -347,6 +375,9 @@ type Stats struct {
 	// concurrent-build mark.
 	Entries, Inflight, InflightPeak int
 	MaxEntries                      int
+	// ResidentBytes is the in-memory tier's artifact footprint: program,
+	// dispatch plan and packed layout bytes of every published entry.
+	ResidentBytes int64
 }
 
 // HitRate is the fraction of requests served without running an inspection
@@ -374,5 +405,6 @@ func (c *Cache) Stats() Stats {
 		Inflight:        int(c.inflightN.Load()),
 		InflightPeak:    int(c.inflightMax.Load()),
 		MaxEntries:      c.max,
+		ResidentBytes:   c.resident.Load(),
 	}
 }

@@ -185,6 +185,36 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestResidentBytesTracksPublishAndEvict: the resident gauge is the sum of
+// the published entries' artifact bytes, so an eviction gives its entry's
+// bytes back.
+func TestResidentBytesTracksPublishAndEvict(t *testing.T) {
+	c := New(Config{MaxEntries: 1})
+	compiled := func(seed int) Builder {
+		return Builder{
+			Inspect: func() (*core.Schedule, error) { return testSchedule(seed), nil },
+			Complete: func(s *core.Schedule) (Artifacts, error) {
+				prog, err := core.CompileSchedule(s, 2)
+				return Artifacts{Schedule: s, Program: prog}, err
+			},
+		}
+	}
+	e1, err := c.GetOrBuild(testKey(1), compiled(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.Stats().ResidentBytes, e1.Bytes(); got != want || want <= 0 {
+		t.Fatalf("resident %d bytes after one entry, want %d (> 0)", got, want)
+	}
+	e2, err := c.GetOrBuild(testKey(2), compiled(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Evictions != 1 || st.ResidentBytes != e2.Bytes() {
+		t.Fatalf("after eviction: %d evictions, resident %d bytes, want 1 and %d", st.Evictions, st.ResidentBytes, e2.Bytes())
+	}
+}
+
 // TestDiskTier: a schedule persisted by one cache warm-starts a second cache
 // over the same directory — no second inspection, bit-identical schedule —
 // and the fingerprint in the file is verified on load.

@@ -57,6 +57,12 @@ func (p *Program) NumIterations() int { return len(p.Iters) }
 // NumSegments returns the number of single-loop run segments.
 func (p *Program) NumSegments() int { return len(p.SegLoop) }
 
+// Bytes returns the program's resident footprint in bytes.
+func (p *Program) Bytes() int64 {
+	words := len(p.Iters) + len(p.WOff) + len(p.SOff) + len(p.SegOff) + len(p.WSeg) + len(p.SegIter)
+	return 4*int64(words) + int64(len(p.SegLoop))
+}
+
 // Width returns the number of w-partitions of s-partition s.
 func (p *Program) Width(s int) int { return int(p.SOff[s+1] - p.SOff[s]) }
 

@@ -12,17 +12,27 @@ import (
 	"sparsefusion/internal/sparse"
 )
 
+// oracleSeg is one dispatch unit as the original scan bound it: the range,
+// the first program segment and the body it chose.
+type oracleSeg struct {
+	lo, hi, g0 int32
+	loop       uint8
+	pair       bool
+	batch      kernels.BatchRunner
+	k          kernels.Kernel
+}
+
 // quadraticSegs is the original NewRunner span scan, kept as the oracle the
-// linear binding is checked against. It rescans the alternating span from
+// linear plan is checked against. It rescans the alternating span from
 // every segment it does not coalesce, so it is quadratic in span length.
-func quadraticSegs(ks []kernels.Kernel, prog *core.Program) ([]seg, []int32) {
+func quadraticSegs(ks []kernels.Kernel, prog *core.Program) ([]oracleSeg, []int32) {
 	batch := make([]kernels.BatchRunner, len(ks))
 	for i, k := range ks {
 		if b, ok := k.(kernels.BatchRunner); ok {
 			batch[i] = b
 		}
 	}
-	var segs []seg
+	var segs []oracleSeg
 	wSeg := []int32{0}
 	for w := 0; w < prog.NumWPartitions(); w++ {
 		g1 := int(prog.WSeg[w+1])
@@ -36,13 +46,13 @@ func quadraticSegs(ks []kernels.Kernel, prog *core.Program) ([]seg, []int32) {
 				iters := int(prog.SegOff[end] - prog.SegOff[g])
 				if iters < (end-g)*pairRunLimit {
 					if fn, _ := kernels.FusePair(ks[l1], ks[l2], int(l1), int(l2)); fn != nil {
-						segs = append(segs, seg{lo: prog.SegOff[g], hi: prog.SegOff[end], pair: fn, g0: int32(g)})
+						segs = append(segs, oracleSeg{lo: prog.SegOff[g], hi: prog.SegOff[end], pair: true, g0: int32(g)})
 						g = end
 						continue
 					}
 				}
 			}
-			s := seg{lo: prog.SegOff[g], hi: prog.SegOff[g+1], loop: prog.SegLoop[g], g0: int32(g)}
+			s := oracleSeg{lo: prog.SegOff[g], hi: prog.SegOff[g+1], loop: prog.SegLoop[g], g0: int32(g)}
 			if b := batch[s.loop]; b != nil {
 				s.batch = b
 			} else {
@@ -56,27 +66,35 @@ func quadraticSegs(ks []kernels.Kernel, prog *core.Program) ([]seg, []int32) {
 	return segs, wSeg
 }
 
-// assertSameDispatch compares NewRunner's dispatch units with the oracle's:
-// range, loop, body kind (pair, batch or per-iteration, with the same batch
-// or kernel bound) and first program segment, plus the per-w-partition split.
+// assertSameDispatch compares NewRunner's plan units with the oracle's:
+// range, first program segment, loop, body kind (pair, batch or
+// per-iteration, with the same batch or kernel bound) and, for pair units,
+// the span's two loops, plus the per-w-partition split.
 func assertSameDispatch(t *testing.T, label string, ks []kernels.Kernel, prog *core.Program) *Runner {
 	t.Helper()
 	r := NewRunner(ks, prog)
+	p := r.Plan()
 	want, wantW := quadraticSegs(ks, prog)
-	if len(r.segs) != len(want) {
-		t.Fatalf("%s: %d dispatch units, oracle %d", label, len(r.segs), len(want))
+	if len(p.units) != len(want) {
+		t.Fatalf("%s: %d dispatch units, oracle %d", label, len(p.units), len(want))
 	}
-	for i, got := range r.segs {
+	for i, got := range p.units {
 		w := want[i]
-		if got.lo != w.lo || got.hi != w.hi || got.loop != w.loop || got.g0 != w.g0 ||
-			(got.pair != nil) != (w.pair != nil) || got.batch != w.batch || got.k != w.k {
-			t.Fatalf("%s: unit %d = {lo %d hi %d loop %d g0 %d pair %v}, oracle {lo %d hi %d loop %d g0 %d pair %v}",
-				label, i, got.lo, got.hi, got.loop, got.g0, got.pair != nil, w.lo, w.hi, w.loop, w.g0, w.pair != nil)
+		same := got.lo == w.lo && got.hi == w.hi && got.g0 == w.g0 && (got.pair != 0) == w.pair
+		if same && w.pair {
+			same = p.pairs[got.pair-1] == [2]uint8{prog.SegLoop[w.g0], prog.SegLoop[w.g0+1]}
+		}
+		if same && !w.pair {
+			same = got.loop == w.loop && r.batch[got.loop] == w.batch && (w.batch != nil || r.ks[got.loop] == w.k)
+		}
+		if !same {
+			t.Fatalf("%s: unit %d = {lo %d hi %d loop %d g0 %d pair %d}, oracle {lo %d hi %d loop %d g0 %d pair %v}",
+				label, i, got.lo, got.hi, got.loop, got.g0, got.pair, w.lo, w.hi, w.loop, w.g0, w.pair)
 		}
 	}
 	for w := range wantW {
-		if r.wSeg[w] != wantW[w] {
-			t.Fatalf("%s: wSeg[%d] = %d, oracle %d", label, w, r.wSeg[w], wantW[w])
+		if p.wUnit[w] != wantW[w] {
+			t.Fatalf("%s: wUnit[%d] = %d, oracle %d", label, w, p.wUnit[w], wantW[w])
 		}
 	}
 	return r
@@ -227,8 +245,8 @@ func TestNewRunnerMatchesQuadraticScanMvMv(t *testing.T) {
 		t.Fatalf("fixture drifted: interleaved %v, %d segments", prog.Interleaved, prog.NumSegments())
 	}
 	r := assertSameDispatch(t, "lap2d:110 mv-mv", ks, prog)
-	if len(r.segs) != prog.NumSegments() {
-		t.Fatalf("%d dispatch units for %d segments: MV-MV has no pair body to coalesce", len(r.segs), prog.NumSegments())
+	if r.Plan().NumUnits() != prog.NumSegments() {
+		t.Fatalf("%d dispatch units for %d segments: MV-MV has no pair body to coalesce", r.Plan().NumUnits(), prog.NumSegments())
 	}
 }
 
@@ -243,8 +261,8 @@ func TestNewRunnerLinearInSegments(t *testing.T) {
 	if d := time.Since(t0); d > time.Second {
 		t.Fatalf("binding 200k segments took %v, want < 1s", d)
 	}
-	if len(r.segs) != prog.NumSegments() {
-		t.Fatalf("%d dispatch units for %d segments", len(r.segs), prog.NumSegments())
+	if r.Plan().NumUnits() != prog.NumSegments() {
+		t.Fatalf("%d dispatch units for %d segments", r.Plan().NumUnits(), prog.NumSegments())
 	}
 }
 
@@ -264,8 +282,8 @@ func TestAttachLayoutFusesOncePerLoopPair(t *testing.T) {
 		t.Fatal(err)
 	}
 	var spans int
-	for _, sg := range r.segs {
-		if sg.pair != nil {
+	for _, u := range r.Plan().units {
+		if u.pair != 0 {
 			spans++
 		}
 	}
@@ -281,9 +299,9 @@ func TestAttachLayoutFusesOncePerLoopPair(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The packed slice, the memo map and one closure per loop-pair order
-	// (two at most for a two-loop chain); fusing per span allocated one
-	// closure per span.
+	// The per-loop and per-loop-pair body slices and one closure per
+	// loop-pair order (two at most for a two-loop chain); fusing per span
+	// allocated one closure per span.
 	if allocs > 4 {
 		t.Fatalf("AttachLayout allocated %v times for %d pair spans, want <= 4", allocs, spans)
 	}

@@ -7,56 +7,44 @@ import (
 	"sparsefusion/internal/core"
 	"sparsefusion/internal/kernels"
 	"sparsefusion/internal/partition"
+	"sparsefusion/internal/relayout"
 )
 
 // This file is the compiled executor path. A core.Schedule (or baseline
 // partitioning) is flattened once into a core.Program, its single-loop run
-// segments are bound to concrete dispatch bodies, and the hot loop then walks
-// flat int32 slices: one kernels.BatchRunner call per segment instead of two
-// interface calls per iteration. Interleaved schedules, whose segments
-// shred down to a couple of iterations each, are coalesced into fused
-// two-kernel spans dispatched through a kernels.PairRunner. The slice-walking
-// Run*Legacy executors remain as the reference implementations these are
-// cross-checked against.
-
-// seg is one dispatch unit of a compiled w-partition: the iteration range
-// Iters[lo:hi] plus the cheapest body able to run it. Exactly one of pair,
-// batch or k drives dispatch, tried in that order.
-type seg struct {
-	lo, hi int32
-	pair   kernels.PairRunner  // fused two-kernel body for shredded spans
-	batch  kernels.BatchRunner // single-kernel batch body
-	k      kernels.Kernel      // per-iteration fallback
-	loop   uint8               // loop tag of batch/fallback segments
-	g0     int32               // first program segment of this dispatch unit
-}
-
-// pairRunLimit is the average iterations-per-segment below which an
-// alternating two-loop span dispatches through a fused pair body instead of
-// one batch call per tiny segment.
-const pairRunLimit = 8
+// segments are planned into dispatch units (plan.go), and the hot loop then
+// walks flat int32 slices: one kernels.BatchRunner call per segment instead
+// of two interface calls per iteration. Interleaved schedules, whose
+// segments shred down to a couple of iterations each, are coalesced into
+// fused two-kernel spans dispatched through a kernels.PairRunner. The
+// slice-walking Run*Legacy executors remain as the reference
+// implementations these are cross-checked against.
 
 // Runner executes one compiled schedule. Compile once (at inspection time),
 // Run many times: solvers that execute the same schedule per sweep or per
 // solver iteration amortize the flattening the way they amortize inspection.
+//
+// A Runner is the per-state view of a shared Plan: it holds only per-loop
+// and per-loop-pair data (kernels, batch and fused pair bodies, and, once a
+// layout is attached, packed bodies and the layout), plus its config,
+// recorder and steal state. Every dispatch unit lives in the plan.
 type Runner struct {
-	prog *core.Program
-	ks   []kernels.Kernel
-	segs []seg
-	wSeg []int32 // segs[wSeg[w]:wSeg[w+1]] belong to w-partition w
+	plan  *Plan
+	ks    []kernels.Kernel
+	batch []kernels.BatchRunner // per loop; nil runs the kernel per iteration
+	pairs []kernels.PairRunner  // per Plan.pairs entry
 
-	// packed, when non-nil, holds the schedule-order stream bindings of every
-	// dispatch unit (parallel to segs) and switches Run to the packed path.
-	// Set by AttachLayout (exec/packed.go).
-	packed []packedSeg
+	// lay, when non-nil, is the attached schedule-order re-layout and
+	// switches Run to the packed path; packed and packedPairs are its
+	// per-loop and per-loop-pair bodies. Set by AttachLayout (exec/packed.go).
+	lay         *relayout.Layout
+	packed      []kernels.PackedRunner
+	packedPairs []kernels.PackedPairRunner
 
 	// rec, when non-nil, is the attached execution profiler (SetRecorder).
 	// Its enable flag is sampled once per run; a disabled recorder costs one
 	// atomic load per run, an absent one costs a nil check per run.
 	rec *Recorder
-	// wIters caches per-w-partition iteration counts for span labeling,
-	// built on first SetRecorder.
-	wIters []int32
 
 	// cfg tunes the parallel execution (Configure); steal is the cached
 	// work-stealing context, built lazily for the effective pool width.
@@ -64,73 +52,23 @@ type Runner struct {
 	steal *stealState
 }
 
-// NewRunner binds a compiled program to its kernels, choosing each segment's
-// dispatch body.
+// NewRunner plans a compiled program for its kernels and binds the plan:
+// the one-off form of NewPlan(ks, prog).Bind(ks) for callers that do not
+// share the plan.
 func NewRunner(ks []kernels.Kernel, prog *core.Program) *Runner {
-	batch := make([]kernels.BatchRunner, len(ks))
-	for i, k := range ks {
-		if b, ok := k.(kernels.BatchRunner); ok {
-			batch[i] = b
-		}
-	}
-	type pairKey struct{ a, b uint8 }
-	pairs := map[pairKey]kernels.PairRunner{}
-	pairFor := func(a, b uint8) kernels.PairRunner {
-		key := pairKey{a, b}
-		fn, seen := pairs[key]
-		if !seen {
-			fn, _ = kernels.FusePair(ks[a], ks[b], int(a), int(b))
-			pairs[key] = fn
-		}
-		return fn
-	}
-	r := &Runner{prog: prog, ks: ks, wSeg: make([]int32, 1, prog.NumWPartitions()+1)}
-	for w := 0; w < prog.NumWPartitions(); w++ {
-		g1 := int(prog.WSeg[w+1])
-		// end is the exclusive end of the current maximal span alternating
-		// between two loops, scanned once per span so binding stays linear
-		// in segments even when no segment of a long span coalesces.
-		// Consecutive segments of one w-partition always differ in loop, so
-		// every g with g+1 < end pairs the span's two loops and would scan
-		// to the same end.
-		end := 0
-		for g := int(prog.WSeg[w]); g < g1; {
-			// Coalesce a maximal span alternating between two loops into one
-			// pair segment when its segments are short enough that per-batch
-			// dispatch would dominate.
-			if g+1 < g1 {
-				l1, l2 := prog.SegLoop[g], prog.SegLoop[g+1]
-				if g+1 >= end {
-					end = g + 2
-					for end < g1 && (prog.SegLoop[end] == l1 || prog.SegLoop[end] == l2) {
-						end++
-					}
-				}
-				iters := int(prog.SegOff[end] - prog.SegOff[g])
-				if iters < (end-g)*pairRunLimit {
-					if fn := pairFor(l1, l2); fn != nil {
-						r.segs = append(r.segs, seg{lo: prog.SegOff[g], hi: prog.SegOff[end], pair: fn, g0: int32(g)})
-						g = end
-						continue
-					}
-				}
-			}
-			s := seg{lo: prog.SegOff[g], hi: prog.SegOff[g+1], loop: prog.SegLoop[g], g0: int32(g)}
-			if b := batch[s.loop]; b != nil {
-				s.batch = b
-			} else {
-				s.k = r.ks[s.loop]
-			}
-			r.segs = append(r.segs, s)
-			g++
-		}
-		r.wSeg = append(r.wSeg, int32(len(r.segs)))
+	r, err := NewPlan(ks, prog).Bind(ks)
+	if err != nil {
+		// Unreachable: the plan coalesced only pairs these kernels fuse.
+		panic(err)
 	}
 	return r
 }
 
+// Plan returns the shared dispatch plan the runner executes.
+func (r *Runner) Plan() *Plan { return r.plan }
+
 // Program exposes the compiled representation, for tests and tooling.
-func (r *Runner) Program() *core.Program { return r.prog }
+func (r *Runner) Program() *core.Program { return r.plan.prog }
 
 // SetRecorder attaches (or, with nil, detaches) an execution profiler: every
 // subsequent Run whose start observes the recorder enabled records one Span
@@ -139,16 +77,7 @@ func (r *Runner) Program() *core.Program { return r.prog }
 // instrumentation rides the per-barrier duration gathering the executor
 // already performs for Stats, so enabling adds no extra timing syscalls
 // beyond one clock read per s-partition.
-func (r *Runner) SetRecorder(rec *Recorder) {
-	r.rec = rec
-	if rec != nil && r.wIters == nil {
-		p := r.prog
-		r.wIters = make([]int32, p.NumWPartitions())
-		for w := 0; w < p.NumWPartitions(); w++ {
-			r.wIters[w] = p.SegOff[p.WSeg[w+1]] - p.SegOff[p.WSeg[w]]
-		}
-	}
-}
+func (r *Runner) SetRecorder(rec *Recorder) { r.rec = rec }
 
 // Recorder returns the attached profiler, if any.
 func (r *Runner) Recorder() *Recorder { return r.rec }
@@ -172,7 +101,7 @@ func (r *Runner) Run(threads int) (Stats, error) {
 // (context.Background()) costs nothing; an armed one costs one watcher
 // goroutine per run and no extra branch in the round loop.
 func (r *Runner) RunContext(ctx context.Context, threads int) (Stats, error) {
-	poolWidth := r.prog.MaxWidth
+	poolWidth := r.plan.prog.MaxWidth
 	if r.cfg.Steal && threads < poolWidth {
 		// Stealing multiplexes the schedule's w-partitions over the slots it
 		// has, so the pool is sized to the caller's thread budget, not the
@@ -196,7 +125,7 @@ func (r *Runner) runOnPool(ctx context.Context, pl *pool, threads int) (Stats, e
 	}
 	watch := pl.watchCancel(ctx)
 	defer watch.finish(pl)
-	p := r.prog
+	p := r.plan.prog
 	parallel := threads > 1 && p.MaxWidth > 1
 	setAtomics(r.ks, parallel)
 	defer setAtomics(r.ks, false)
@@ -220,7 +149,7 @@ func (r *Runner) runOnPool(ctx context.Context, pl *pool, threads int) (Stats, e
 	}
 	durs := make([]time.Duration, durWidth)
 	runBody := r.runW
-	if r.packed != nil {
+	if r.lay != nil {
 		runBody = r.runWPacked
 	}
 	// Sample the profiler flag once per run: a flip mid-schedule applies to
@@ -262,7 +191,7 @@ func (r *Runner) runOnPool(ctx context.Context, pl *pool, threads int) (Stats, e
 				// (the slot↔w-partition map moved mid-round), so iters is nil.
 				rec.record(s, partStart, durs[:parts], nil, roundSteals)
 			} else {
-				rec.record(s, partStart, durs[:width], r.wIters[w0:w0+width], 0)
+				rec.record(s, partStart, durs[:width], p.WOff[w0:w0+width+1], 0)
 			}
 		}
 		if f := pl.takeFault(); f != nil {
@@ -292,19 +221,20 @@ func (r *Runner) runOnPool(ctx context.Context, pl *pool, threads int) (Stats, e
 	return st, nil
 }
 
-// runW executes one w-partition, one dispatch per segment.
+// runW executes one w-partition, one dispatch per unit.
 func (r *Runner) runW(w int) {
-	for g := r.wSeg[w]; g < r.wSeg[w+1]; g++ {
-		sg := &r.segs[g]
-		iters := r.prog.Iters[sg.lo:sg.hi]
+	p := r.plan
+	iters := r.plan.prog.Iters
+	for _, u := range p.units[p.wUnit[w]:p.wUnit[w+1]] {
+		it := iters[u.lo:u.hi]
 		switch {
-		case sg.pair != nil:
-			sg.pair(iters)
-		case sg.batch != nil:
-			sg.batch.RunMany(iters)
+		case u.pair != 0:
+			r.pairs[u.pair-1](it)
+		case r.batch[u.loop] != nil:
+			r.batch[u.loop].RunMany(it)
 		default:
-			k := sg.k
-			for _, v := range iters {
+			k := r.ks[u.loop]
+			for _, v := range it {
 				k.Run(int(v & kernels.IterMask))
 			}
 		}

@@ -144,13 +144,13 @@ func TestRunnerSegmentsPaired(t *testing.T) {
 		t.Fatal(err)
 	}
 	var paired int
-	for _, sg := range r.segs {
-		if sg.pair != nil {
-			paired += int(sg.hi - sg.lo)
+	for _, u := range r.Plan().units {
+		if u.pair != 0 {
+			paired += int(u.hi - u.lo)
 		}
 	}
-	if len(r.segs) >= r.prog.NumSegments() {
-		t.Fatalf("no coalescing: %d dispatch segments for %d raw segments", len(r.segs), r.prog.NumSegments())
+	if r.Plan().NumUnits() >= r.plan.prog.NumSegments() {
+		t.Fatalf("no coalescing: %d dispatch units for %d raw segments", r.Plan().NumUnits(), r.plan.prog.NumSegments())
 	}
 	if paired == 0 {
 		t.Fatal("interleaved trsv-trsv compiled without any fused pair segment")

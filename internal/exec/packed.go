@@ -8,107 +8,77 @@ import (
 	"sparsefusion/internal/relayout"
 )
 
-// This file is the packed executor path: a Runner whose dispatch units have
-// been bound, once at inspection time, to the schedule-order operand streams
-// of a relayout.Layout. The hot loop then reads compact int32 indices and
-// float64 values with a single advancing cursor per stream instead of
-// pointer-chasing P[i] into matrix-order arrays. The compiled-unpacked path
+// This file is the packed executor path: a Runner whose per-loop bodies have
+// been bound to the schedule-order operand streams of a relayout.Layout; each
+// plan unit finds its stream cursors in Layout.SegEnt and Program.SegIter.
+// The hot loop then reads compact int32 indices and float64 values with a
+// single advancing cursor per stream instead of pointer-chasing P[i] into
+// matrix-order arrays. The compiled-unpacked path
 // (runW) and the slice-walking legacy executors remain as the reference
 // implementations the packed path is cross-checked against.
 
-// packedSeg is one dispatch unit's stream binding: the packed body plus the
-// entry/occurrence cursors at which the unit's data starts in each stream.
-// Parallel to Runner.segs.
-type packedSeg struct {
-	pair kernels.PackedPairRunner // fused two-kernel body for shredded spans
-	run  kernels.PackedRunner     // single-kernel batch body
-	s1   *kernels.PackedStream    // stream of the unit's (first) loop
-	s2   *kernels.PackedStream    // stream of the pair's second loop
-	ent1 int32                    // first operand-entry slot in s1
-	it1  int32                    // first occurrence slot in s1
-	ent2 int32                    // first operand-entry slot in s2 (pair only)
-	it2  int32                    // first occurrence slot in s2 (pair only)
-}
-
 // AttachLayout binds a schedule-order re-layout to the runner and switches
 // Run to the packed path. The layout must have been built for this runner's
-// program; every kernel must support packed batch execution, and every
-// coalesced pair span must have a packed pair specialization. On error the
-// runner is left unchanged (still running the compiled-unpacked path).
+// program; every kernel with single-loop units must support packed batch
+// execution, and every coalesced loop pair must have a packed pair
+// specialization. Binding is per loop and per loop pair, never per unit:
+// each unit's stream cursors are read at run time from Layout.SegEnt and
+// Program.SegIter. On error the runner is left unchanged (still running the
+// compiled-unpacked path).
 func (r *Runner) AttachLayout(lay *relayout.Layout) error {
-	prog := r.prog
-	if lay.Program() != prog {
+	p := r.plan
+	if lay.Program() != p.prog {
 		return fmt.Errorf("exec: layout was built for a different program")
 	}
-	// Pair bodies are fused once per loop pair, like NewRunner's pairFor,
-	// not once per pair span.
-	type pairKey struct{ a, b uint8 }
-	pairs := map[pairKey]kernels.PackedPairRunner{}
-	packed := make([]packedSeg, len(r.segs))
-	for i := range r.segs {
-		sg := &r.segs[i]
-		g0 := int(sg.g0)
-		if sg.pair != nil {
-			// A pair span coalesces consecutive program segments alternating
-			// between two loops; consecutive segments of one w-partition always
-			// differ in loop, so the span's loops are those of its first two
-			// segments. Each loop's entries are contiguous in its own stream
-			// across the whole span (streams are laid out in global segment
-			// order and the other loop's entries land in the other stream), so
-			// one cursor pair per loop covers the span.
-			l1, l2 := prog.SegLoop[g0], prog.SegLoop[g0+1]
-			fn := pairs[pairKey{l1, l2}]
-			if fn == nil {
-				var ok bool
-				if fn, ok = kernels.FusePackedPair(r.ks[l1], r.ks[l2], int(l1), int(l2)); !ok {
-					return fmt.Errorf("exec: no packed pair body for %s+%s", r.ks[l1].Name(), r.ks[l2].Name())
-				}
-				pairs[pairKey{l1, l2}] = fn
-			}
-			packed[i] = packedSeg{
-				pair: fn,
-				s1:   lay.Streams[l1],
-				s2:   lay.Streams[l2],
-				ent1: lay.SegEnt[g0],
-				it1:  prog.SegIter[g0],
-				ent2: lay.SegEnt[g0+1],
-				it2:  prog.SegIter[g0+1],
-			}
+	packed := make([]kernels.PackedRunner, len(p.single))
+	for l, used := range p.single {
+		if !used {
 			continue
 		}
-		pk, ok := r.ks[sg.loop].(kernels.PackedRunner)
+		pk, ok := r.ks[l].(kernels.PackedRunner)
 		if !ok {
-			return fmt.Errorf("exec: kernel %s does not support packed execution", r.ks[sg.loop].Name())
+			return fmt.Errorf("exec: kernel %s does not support packed execution", r.ks[l].Name())
 		}
-		packed[i] = packedSeg{
-			run:  pk,
-			s1:   lay.Streams[sg.loop],
-			ent1: lay.SegEnt[g0],
-			it1:  prog.SegIter[g0],
-		}
+		packed[l] = pk
 	}
-	r.packed = packed
+	pairs := make([]kernels.PackedPairRunner, len(p.pairs))
+	for i, lp := range p.pairs {
+		a, b := lp[0], lp[1]
+		fn, ok := kernels.FusePackedPair(r.ks[a], r.ks[b], int(a), int(b))
+		if !ok {
+			return fmt.Errorf("exec: no packed pair body for %s+%s", r.ks[a].Name(), r.ks[b].Name())
+		}
+		pairs[i] = fn
+	}
+	r.lay, r.packed, r.packedPairs = lay, packed, pairs
 	return nil
 }
 
 // Packed reports whether a layout is attached (Run takes the packed path).
-func (r *Runner) Packed() bool { return r.packed != nil }
+func (r *Runner) Packed() bool { return r.lay != nil }
 
 // DetachLayout drops the stream bindings, returning Run to the
 // compiled-unpacked path.
-func (r *Runner) DetachLayout() { r.packed = nil }
+func (r *Runner) DetachLayout() { r.lay, r.packed, r.packedPairs = nil, nil, nil }
 
 // runWPacked executes one w-partition against the packed streams, one
-// dispatch per segment.
+// dispatch per unit. A pair unit coalesces consecutive program segments
+// alternating between two loops; each loop's entries are contiguous in its
+// own stream across the whole span (streams are laid out in global segment
+// order and the other loop's entries land in the other stream), so the
+// cursors of the span's first two segments cover it.
 func (r *Runner) runWPacked(w int) {
-	for g := r.wSeg[w]; g < r.wSeg[w+1]; g++ {
-		sg := &r.segs[g]
-		ps := &r.packed[g]
-		iters := r.prog.Iters[sg.lo:sg.hi]
-		if ps.pair != nil {
-			ps.pair(iters, ps.s1, ps.s2, int(ps.ent1), int(ps.it1), int(ps.ent2), int(ps.it2))
+	p, lay := r.plan, r.lay
+	prog := p.prog
+	for _, u := range p.units[p.wUnit[w]:p.wUnit[w+1]] {
+		it := prog.Iters[u.lo:u.hi]
+		g := u.g0
+		if u.pair != 0 {
+			lp := p.pairs[u.pair-1]
+			r.packedPairs[u.pair-1](it, lay.Streams[lp[0]], lay.Streams[lp[1]],
+				int(lay.SegEnt[g]), int(prog.SegIter[g]), int(lay.SegEnt[g+1]), int(prog.SegIter[g+1]))
 		} else {
-			ps.run.RunManyPacked(iters, ps.s1, int(ps.ent1), int(ps.it1))
+			r.packed[u.loop].RunManyPacked(it, lay.Streams[u.loop], int(lay.SegEnt[g]), int(prog.SegIter[g]))
 		}
 	}
 }

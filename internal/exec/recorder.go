@@ -119,14 +119,15 @@ func (r *Recorder) beginRun() { r.runs++ }
 
 // record ingests one barrier round: s-partition si started at offset start
 // (from the run's t0); worker slot k ran its share of the round for durs[k],
-// covering iters[k] iterations (iters may be nil when unknown — notably on
-// the stealing path, where a slot's share is its seeded queue plus whatever
-// it stole and durs already attributes stolen spans to the executing slot).
+// covering woff[k+1]-woff[k] iterations — woff is the round's window of
+// Program.WOff — or an unknown count when woff is nil, notably on the
+// stealing path, where a slot's share is its seeded queue plus whatever it
+// stole and durs already attributes stolen spans to the executing slot.
 // steals is the round's stolen-w-partition count (0 on the static path).
 // Worker slots — not global w-partition ids — key the spans and the
 // busy/wait accumulators, matching RunFusedTraced's convention and keeping
 // one row per worker on the timeline.
-func (r *Recorder) record(si int, start time.Duration, durs []time.Duration, iters []int32, steals int64) {
+func (r *Recorder) record(si int, start time.Duration, durs []time.Duration, woff []int32, steals int64) {
 	var maxD time.Duration
 	for _, d := range durs {
 		if d > maxD {
@@ -146,8 +147,8 @@ func (r *Recorder) record(si int, start time.Duration, durs []time.Duration, ite
 	var pIters int
 	for k, d := range durs {
 		it := 0
-		if iters != nil {
-			it = int(iters[k])
+		if woff != nil {
+			it = int(woff[k+1] - woff[k])
 		}
 		pIters += it
 		if r.wrapped {
@@ -165,7 +166,7 @@ func (r *Recorder) record(si int, start time.Duration, durs []time.Duration, ite
 		p.BusyNs += d.Nanoseconds()
 		p.WaitNs += (maxD - d).Nanoseconds()
 	}
-	if iters != nil {
+	if woff != nil {
 		p.Iters = pIters
 	}
 }

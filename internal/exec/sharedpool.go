@@ -86,7 +86,7 @@ func (r *Runner) RunOnContext(ctx context.Context, pl *Pool, threads int) (Stats
 	if pl == nil {
 		return r.RunContext(ctx, threads)
 	}
-	if w := r.prog.MaxWidth; w > pl.Width() && !(r.cfg.Steal && w > 1) {
+	if w := r.plan.prog.MaxWidth; w > pl.Width() && !(r.cfg.Steal && w > 1) {
 		return Stats{}, fmt.Errorf("exec: program width %d exceeds pool width %d", w, pl.Width())
 	}
 	return r.runOnPool(ctx, pl.p, threads)

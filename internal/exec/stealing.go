@@ -87,7 +87,7 @@ func newStealState(prog *core.Program, workers int) *stealState {
 // widest s-partition has w-partitions.
 func (r *Runner) stealFor(plWorkers int) *stealState {
 	p := plWorkers
-	if mw := r.prog.MaxWidth; p > mw {
+	if mw := r.plan.prog.MaxWidth; p > mw {
 		p = mw
 	}
 	if p < 1 {
@@ -100,7 +100,7 @@ func (r *Runner) stealFor(plWorkers int) *stealState {
 	if r.steal != nil {
 		old = r.steal
 	}
-	r.steal = newStealState(r.prog, p)
+	r.steal = newStealState(r.plan.prog, p)
 	if old != nil {
 		// A width change re-seeds the map but the measured loads — and the
 		// cumulative counters — survive.

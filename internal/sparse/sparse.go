@@ -55,38 +55,87 @@ type Triplet struct {
 }
 
 // FromTriplets builds a CSR matrix from coordinate entries. Duplicate entries
-// are summed. The result has sorted column indices within each row.
+// are summed in input order. The result has sorted column indices within each
+// row, and its index and value arrays are exactly NNZ long.
+//
+// It is a counting sort: entries are counted per row, scattered into their
+// rows in input order, and each row is then sorted by column (stably, so
+// duplicates stay in input order) and folded.
 func FromTriplets(rows, cols int, ts []Triplet) (*CSR, error) {
+	a := &CSR{Rows: rows, Cols: cols, P: make([]int, rows+1)}
 	for _, t := range ts {
 		if t.Row < 0 || t.Row >= rows || t.Col < 0 || t.Col >= cols {
 			return nil, fmt.Errorf("sparse: triplet (%d,%d) out of bounds for %dx%d matrix", t.Row, t.Col, rows, cols)
 		}
-	}
-	sorted := make([]Triplet, len(ts))
-	copy(sorted, ts)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Row != sorted[j].Row {
-			return sorted[i].Row < sorted[j].Row
-		}
-		return sorted[i].Col < sorted[j].Col
-	})
-	a := &CSR{Rows: rows, Cols: cols, P: make([]int, rows+1)}
-	for k := 0; k < len(sorted); {
-		t := sorted[k]
-		v := t.Val
-		k++
-		for k < len(sorted) && sorted[k].Row == t.Row && sorted[k].Col == t.Col {
-			v += sorted[k].Val
-			k++
-		}
-		a.I = append(a.I, t.Col)
-		a.X = append(a.X, v)
 		a.P[t.Row+1]++
+	}
+	if len(ts) == 0 {
+		return a, nil
 	}
 	for r := 0; r < rows; r++ {
 		a.P[r+1] += a.P[r]
 	}
+	idx, val := make([]int, len(ts)), make([]float64, len(ts))
+	next := append([]int(nil), a.P[:rows]...)
+	for _, t := range ts {
+		k := next[t.Row]
+		next[t.Row]++
+		idx[k], val[k] = t.Col, t.Val
+	}
+	nnz := 0
+	for r := 0; r < rows; r++ {
+		lo, hi := a.P[r], a.P[r+1]
+		sortRow(idx[lo:hi], val[lo:hi])
+		a.P[r] = nnz
+		for k := lo; k < hi; k++ {
+			if k > lo && idx[k] == idx[nnz-1] {
+				val[nnz-1] += val[k]
+				continue
+			}
+			idx[nnz], val[nnz] = idx[k], val[k]
+			nnz++
+		}
+	}
+	a.P[rows] = nnz
+	if nnz < len(idx) {
+		idx, val = append([]int(nil), idx[:nnz]...), append([]float64(nil), val[:nnz]...)
+	}
+	a.I, a.X = idx, val
 	return a, nil
+}
+
+// sortRow sorts one row's entries by column, stably: duplicates keep their
+// input order. Rows from generators and readers usually arrive sorted.
+func sortRow(idx []int, val []float64) {
+	sorted := true
+	for k := 1; k < len(idx) && sorted; k++ {
+		sorted = idx[k-1] <= idx[k]
+	}
+	switch {
+	case sorted:
+	case len(idx) <= 16:
+		for k := 1; k < len(idx); k++ {
+			for j := k; j > 0 && idx[j] < idx[j-1]; j-- {
+				idx[j], idx[j-1] = idx[j-1], idx[j]
+				val[j], val[j-1] = val[j-1], val[j]
+			}
+		}
+	default:
+		sort.Stable(rowEntries{idx, val})
+	}
+}
+
+// rowEntries sorts a row's parallel index and value arrays by index.
+type rowEntries struct {
+	idx []int
+	val []float64
+}
+
+func (r rowEntries) Len() int           { return len(r.idx) }
+func (r rowEntries) Less(i, j int) bool { return r.idx[i] < r.idx[j] }
+func (r rowEntries) Swap(i, j int) {
+	r.idx[i], r.idx[j] = r.idx[j], r.idx[i]
+	r.val[i], r.val[j] = r.val[j], r.val[i]
 }
 
 // Validate checks the structural invariants of a CSR matrix: monotone row

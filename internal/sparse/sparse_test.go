@@ -2,7 +2,10 @@ package sparse
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -47,6 +50,94 @@ func TestFromTripletsOutOfBounds(t *testing.T) {
 	}
 	if _, err := FromTriplets(2, 2, []Triplet{{0, -1, 1}}); err == nil {
 		t.Fatal("expected error for negative column")
+	}
+}
+
+// fromTripletsSortSlice is the original comparison-sort FromTriplets, kept
+// as the oracle the counting-sort builder is checked against.
+func fromTripletsSortSlice(rows, cols int, ts []Triplet) (*CSR, error) {
+	for _, t := range ts {
+		if t.Row < 0 || t.Row >= rows || t.Col < 0 || t.Col >= cols {
+			return nil, fmt.Errorf("sparse: triplet (%d,%d) out of bounds for %dx%d matrix", t.Row, t.Col, rows, cols)
+		}
+	}
+	sorted := make([]Triplet, len(ts))
+	copy(sorted, ts)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].Row != sorted[j].Row {
+			return sorted[i].Row < sorted[j].Row
+		}
+		return sorted[i].Col < sorted[j].Col
+	})
+	a := &CSR{Rows: rows, Cols: cols, P: make([]int, rows+1)}
+	for k := 0; k < len(sorted); {
+		t := sorted[k]
+		v := t.Val
+		k++
+		for k < len(sorted) && sorted[k].Row == t.Row && sorted[k].Col == t.Col {
+			v += sorted[k].Val
+			k++
+		}
+		a.I = append(a.I, t.Col)
+		a.X = append(a.X, v)
+		a.P[t.Row+1]++
+	}
+	for r := 0; r < rows; r++ {
+		a.P[r+1] += a.P[r]
+	}
+	return a, nil
+}
+
+// TestFromTripletsMatchesSortSlice: on shuffled duplicate-free inputs —
+// including long unsorted rows and empty rows — the counting sort builds
+// exactly the oracle's matrix, with exact-size arrays; out-of-bounds inputs
+// fail with the oracle's error.
+func TestFromTripletsMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		rows, cols := 1+rng.Intn(40), 1+rng.Intn(120)
+		var ts []Triplet
+		for r := 0; r < rows; r++ {
+			for _, c := range rng.Perm(cols)[:rng.Intn(cols+1)] {
+				ts = append(ts, Triplet{r, c, rng.NormFloat64()})
+			}
+		}
+		rng.Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
+		got, err := FromTriplets(rows, cols, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := fromTripletsSortSlice(rows, cols, ts)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: %dx%d with %d entries differs from the sort.Slice oracle", trial, rows, cols, len(ts))
+		}
+		if cap(got.I) != len(got.I) || cap(got.X) != len(got.X) {
+			t.Fatalf("trial %d: spare capacity I %d/%d X %d/%d", trial, len(got.I), cap(got.I), len(got.X), cap(got.X))
+		}
+	}
+	for _, ts := range [][]Triplet{
+		{{2, 0, 1}}, {{0, -1, 1}}, {{0, 0, 1}, {1, 1, 2}, {0, 3, 1}, {-1, 0, 1}},
+	} {
+		_, err := FromTriplets(2, 3, ts)
+		_, want := fromTripletsSortSlice(2, 3, ts)
+		if err == nil || err.Error() != want.Error() {
+			t.Fatalf("%v: error %v, want %v", ts, err, want)
+		}
+	}
+}
+
+// TestFromTripletsDuplicatesExactSize: folding duplicates (in input order)
+// still leaves exact-size arrays.
+func TestFromTripletsDuplicatesExactSize(t *testing.T) {
+	a, err := FromTriplets(2, 3, []Triplet{{1, 2, 1}, {0, 1, 0.5}, {1, 2, 2}, {1, 0, 1}, {1, 2, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.P, []int{0, 1, 3}) || !reflect.DeepEqual(a.I, []int{1, 0, 2}) || !reflect.DeepEqual(a.X, []float64{0.5, 1, 7}) {
+		t.Fatalf("got P %v I %v X %v", a.P, a.I, a.X)
+	}
+	if cap(a.I) != 3 || cap(a.X) != 3 {
+		t.Fatalf("spare capacity: I %d X %d, want 3", cap(a.I), cap(a.X))
 	}
 }
 

@@ -228,6 +228,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"spf_cache_hits_total",
 		"spf_cache_misses_total 1",
 		"spf_cache_waits_total",
+		"spf_cache_resident_bytes",
 		"spf_serve_admitted_total 3",
 		"spf_serve_queue_depth 0",
 		"spf_demotions_total 0",
@@ -238,6 +239,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
 		}
+	}
+	// The cached operation's program, plan and layout are resident.
+	if strings.Contains(body, "spf_cache_resident_bytes 0\n") {
+		t.Fatalf("/metrics reports no resident cache bytes:\n%s", body)
 	}
 }
 

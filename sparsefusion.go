@@ -298,6 +298,9 @@ type CacheStats struct {
 	Entries, Inflight, InflightPeak int
 	// MaxEntries is the configured in-memory bound.
 	MaxEntries int
+	// ResidentBytes is the memory the in-memory tier keeps resident: the
+	// compiled program, dispatch plan and packed layout of every entry.
+	ResidentBytes int64
 }
 
 // HitRate is the fraction of requests served without running an inspection
@@ -326,6 +329,7 @@ func (sc *ScheduleCache) Stats() CacheStats {
 		Inflight:        st.Inflight,
 		InflightPeak:    st.InflightPeak,
 		MaxEntries:      st.MaxEntries,
+		ResidentBytes:   st.ResidentBytes,
 	}
 }
 
@@ -390,6 +394,9 @@ type execState struct {
 	// and cache consumer; nil when the schedule exceeds the compiled
 	// representation and the state runs the legacy executor.
 	prog *core.Program
+	// plan is prog's dispatch plan, shared by pointer like prog; the runner
+	// binds it to this state's kernels.
+	plan *exec.Plan
 	th   int
 	// steal, spin and watchdog are the executor tuning carried from Options
 	// (Steal, SpinBudget, Watchdog), applied to every runner this state
@@ -541,7 +548,7 @@ func NewOperation(c Combination, m *Matrix, opts Options) (*Operation, error) {
 func (op *Operation) Fingerprint() string { return op.fp.String() }
 
 // buildArtifacts derives the full chain from a schedule: the compiled flat
-// program, then the schedule-order packed layout. A stage that does not fit
+// program and its dispatch plan, then the schedule-order packed layout. A stage that does not fit
 // leaves its artifact nil with the reason recorded — the executor ladder
 // handles the gap, it is not an error. A non-nil tracer sees one event per
 // stage (inspect.compile, inspect.relayout) with duration and outcome.
@@ -559,10 +566,12 @@ func buildArtifacts(inst *combos.Instance, sched *core.Schedule, tr *Tracer, id 
 		return art
 	}
 	art.Program = prog
+	art.Plan = exec.NewPlan(inst.Kernels, prog)
 	t.Emit("inspect.compile",
 		telemetry.Int("op", id),
 		telemetry.Dur("dur_ns", time.Since(t0)),
-		telemetry.Int("iters", int64(len(prog.Iters))))
+		telemetry.Int("iters", int64(len(prog.Iters))),
+		telemetry.Int("units", int64(art.Plan.NumUnits())))
 	t0 = time.Now()
 	lay, err := relayout.Build(prog, inst.Kernels)
 	if err != nil {
@@ -583,10 +592,11 @@ func buildArtifacts(inst *combos.Instance, sched *core.Schedule, tr *Tracer, id 
 // bindArtifacts builds this state's executor ladder from an artifact chain,
 // recording a demotion for every absent artifact. With shared set the chain
 // may come from another tenant (the cache, or a parent operation): the
-// schedule and program depend only on the sparsity pattern and are shared
-// as-is, but the packed layout baked in matrix values, so it is verified
-// against this state's kernels and rebuilt privately on a mismatch. It
-// reports whether the mismatch forced that private re-layout.
+// schedule, program and dispatch plan depend only on the sparsity pattern
+// and are shared as-is — binding the plan costs O(loops + loop pairs) — but
+// the packed layout baked in matrix values, so it is verified against this
+// state's kernels and rebuilt privately on a mismatch. It reports whether
+// the mismatch forced that private re-layout.
 func (e *execState) bindArtifacts(art cache.Artifacts, shared bool) (relaid bool) {
 	e.sched = art.Schedule
 	e.progErr, e.layErr = art.ProgramErr, art.LayoutErr
@@ -596,8 +606,16 @@ func (e *execState) bindArtifacts(art cache.Artifacts, shared bool) (relaid bool
 			Demotion{From: ModeCompiled, To: ModeLegacy, Reason: art.ProgramErr})
 		return
 	}
-	e.prog = art.Program
-	e.runner = exec.NewRunner(e.inst.Kernels, art.Program)
+	e.prog, e.plan = art.Program, art.Plan
+	r, err := art.Plan.Bind(e.inst.Kernels)
+	if err != nil {
+		e.progErr = err.Error()
+		e.demote(
+			Demotion{From: ModePacked, To: ModeCompiled, Reason: err.Error()},
+			Demotion{From: ModeCompiled, To: ModeLegacy, Reason: err.Error()})
+		return
+	}
+	e.runner = r
 	if e.steal || e.spin > 0 || e.watchdog > 0 {
 		e.runner.Configure(exec.Config{Steal: e.steal, SpinBudget: e.spin, Watchdog: e.watchdog})
 	}
@@ -860,6 +878,7 @@ func (op *Operation) NewSession() (*Session, error) {
 	art := cache.Artifacts{
 		Schedule:   op.sched,
 		Program:    op.prog,
+		Plan:       op.plan,
 		ProgramErr: op.progErr,
 		Layout:     op.layout,
 		LayoutErr:  op.layErr,
