@@ -12,7 +12,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race . ./internal/exec/... ./internal/core/... ./internal/dag/... ./internal/lbc/... ./internal/cache/... ./internal/combos/... ./internal/kernels/... ./internal/serve/... ./internal/telemetry/...
+	$(GO) test -race . ./internal/exec/... ./internal/core/... ./internal/dag/... ./internal/lbc/... ./internal/cache/... ./internal/combos/... ./internal/kernels/... ./internal/relayout/... ./internal/serve/... ./internal/telemetry/...
 
 # fuzz smoke-runs the native Go fuzz targets on the two untrusted-input
 # parsers: the binary schedule loader and the Matrix Market reader. Each

@@ -2,8 +2,10 @@ package sparsefusion
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
+	"sparsefusion/internal/combos"
 	"sparsefusion/internal/sparse"
 )
 
@@ -121,8 +123,16 @@ func TestScheduleLoadRejectsWrongPattern(t *testing.T) {
 	if err := op.SaveSchedule(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewOperationFromSchedule(TrsvTrsv, m2, &buf, Options{Threads: 2}); err == nil {
-		t.Fatal("stale schedule accepted for a different pattern")
+	// The fingerprint rejects the file before any fusion input is built for
+	// its payload.
+	before := combos.LoopBuilds()
+	_, err = NewOperationFromSchedule(TrsvTrsv, m2, &buf, Options{Threads: 2})
+	var mm *ScheduleMismatchError
+	if !errors.As(err, &mm) {
+		t.Fatalf("stale schedule for a different pattern: error %v, want *ScheduleMismatchError", err)
+	}
+	if got := combos.LoopBuilds() - before; got != 0 {
+		t.Fatalf("rejecting a mismatched file built %d fusion inputs, want 0", got)
 	}
 }
 

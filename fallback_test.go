@@ -83,7 +83,7 @@ func TestCorruptSavedScheduleRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := exec.RunFusedLegacy(ref.inst.Kernels, ref.sched, th); err != nil {
+		if _, err := exec.RunFusedLegacy(ref.inst.Kernels, ref.schedule(), th); err != nil {
 			t.Fatal(err)
 		}
 		got, want := good.Output(), ref.inst.Snapshot()
@@ -136,7 +136,7 @@ func TestRunFaultDemotesDownTheLadder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := exec.RunFusedLegacy(ref.inst.Kernels, ref.sched, th); err != nil {
+		if _, err := exec.RunFusedLegacy(ref.inst.Kernels, ref.schedule(), th); err != nil {
 			t.Fatal(err)
 		}
 		got, want := op.Output(), ref.inst.Snapshot()

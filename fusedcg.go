@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"sparsefusion/internal/cache"
 	"sparsefusion/internal/combos"
@@ -58,10 +57,8 @@ type FusedCGOptions struct {
 // Barriers like an Operation.
 type FusedCG struct {
 	execState
-	fp     cache.Key
-	cached bool
+	fp cache.Key
 
-	chain   *combos.Chain
 	n       int
 	block   int
 	tol     float64
@@ -117,22 +114,24 @@ func NewFusedCG(m *Matrix, opts FusedCGOptions) (*FusedCG, error) {
 		rzCell: []float64{1},
 	}
 
-	// The chain, in program order. Each link names the dependency matrix F
-	// from the previous kernel's iteration space to its own; WAR hazards
-	// (this iteration's p is read by the SpMV and overwritten by the last
-	// loop) are covered transitively — every reader of a vector precedes its
-	// writer through the F chain, which Loops.Check/Validate verify.
-	links := []combos.ChainLink{
+	// The chain, in program order, each kernel with the shape of the
+	// dependency matrix F from the previous kernel's iteration space to its
+	// own (deps below builds them, only for inspection or validation). WAR
+	// hazards (this iteration's p is read by the SpMV and overwritten by the
+	// last loop) are covered transitively — every reader of a vector precedes
+	// its writer through the F chain, which Loops.Check/Validate verify.
+	ks := []kernels.Kernel{
 		// L0: q = A*p (Prepare re-zeroes q every run).
-		{K: kernels.NewSpMVCSR(a, f.p, f.q)},
-		// L1: partPQ[i] = p·q over block i.
-		{K: kernels.NewVecDot(f.p, f.q, f.partPQ, block), F: core.FBlockAgg(nb, n, block)},
+		kernels.NewSpMVCSR(a, f.p, f.q),
+		// L1: partPQ[i] = p·q over block i; F aggregates the rows of block i.
+		kernels.NewVecDot(f.p, f.q, f.partPQ, block),
 		// L2: x += (rz/Σ partPQ)·p, with the SPD curvature check. Dense F:
 		// every block re-sums all partials.
-		{K: kernels.NewVecAxpyDot(f.p, f.x, f.rzCell, f.partPQ, +1, block, true), F: core.FDense(nb, nb)},
-		// L3: r -= (rz/Σ partPQ)·q; block i only needs block i of L2 to have
-		// re-summed first (the dense hop to L1 is already behind L2).
-		{K: kernels.NewVecAxpyDot(f.q, f.r, f.rzCell, f.partPQ, -1, block, false), F: core.FDiagonal(nb)},
+		kernels.NewVecAxpyDot(f.p, f.x, f.rzCell, f.partPQ, +1, block, true),
+		// L3: r -= (rz/Σ partPQ)·q; diagonal F: block i only needs block i
+		// of L2 to have re-summed first (the dense hop to L1 is already
+		// behind L2).
+		kernels.NewVecAxpyDot(f.q, f.r, f.rzCell, f.partPQ, -1, block, false),
 	}
 	if opts.Precondition {
 		lc := a.Lower().ToCSC()
@@ -151,99 +150,59 @@ func NewFusedCG(m *Matrix, opts FusedCGOptions) (*FusedCG, error) {
 		bwd := kernels.NewSpTRSVTransCSC(lc, f.y, f.z)
 		dot := kernels.NewVecDotDual(f.r, f.z, f.partRZ, f.r, f.r, f.partRR, block)
 		f.fwd, f.bwd, f.dotK = fwd, bwd, dot
-		links = append(links,
+		ks = append(ks,
 			// L4: y = L \ r; row j reads exactly r[j], produced by block
 			// j/block of L3.
-			combos.ChainLink{K: fwd, F: core.FBlockExpand(n, nb, block)},
-			// L5: z = L' \ y; iteration it finalizes element n-1-it.
-			combos.ChainLink{K: bwd, F: core.FAntiDiagonal(n)},
+			fwd,
+			// L5: z = L' \ y; iteration it finalizes element n-1-it
+			// (anti-diagonal F).
+			bwd,
 			// L6: partRZ = r·z and partRR = r·r in one pass; the producer
 			// iterates in reversed order, so the aggregation F is flipped.
-			combos.ChainLink{K: dot, F: core.FBlockAggFlip(nb, n, block)},
-			// L7: p = z + (Σ partRZ / rz)·p.
-			combos.ChainLink{K: kernels.NewVecXpayDot(f.z, f.p, f.rzCell, f.partRZ, block), F: core.FDense(nb, nb)},
+			dot,
+			// L7: p = z + (Σ partRZ / rz)·p; dense F.
+			kernels.NewVecXpayDot(f.z, f.p, f.rzCell, f.partRZ, block),
 		)
 	} else {
 		// Unpreconditioned: z is r, rz is r·r.
 		dot := kernels.NewVecDot(f.r, f.r, f.partRR, block)
 		f.dotK = dot
-		links = append(links,
-			// L4: partRR[i] = r·r over block i; needs only block i of L3.
-			combos.ChainLink{K: dot, F: core.FDiagonal(nb)},
-			// L5: p = r + (Σ partRR / rz)·p.
-			combos.ChainLink{K: kernels.NewVecXpayDot(f.r, f.p, f.rzCell, f.partRR, block), F: core.FDense(nb, nb)},
+		ks = append(ks,
+			// L4: partRR[i] = r·r over block i; diagonal F: needs only
+			// block i of L3.
+			dot,
+			// L5: p = r + (Σ partRR / rz)·p; dense F.
+			kernels.NewVecXpayDot(f.r, f.p, f.rzCell, f.partRR, block),
 		)
 	}
 
+	precond := opts.Precondition
+	deps := func() []*sparse.CSR {
+		fs := []*sparse.CSR{core.FBlockAgg(nb, n, block), core.FDense(nb, nb), core.FDiagonal(nb)}
+		if precond {
+			return append(fs, core.FBlockExpand(n, nb, block), core.FAntiDiagonal(n), core.FBlockAggFlip(nb, n, block), core.FDense(nb, nb))
+		}
+		return append(fs, core.FDiagonal(nb), core.FDense(nb, nb))
+	}
 	name := "cg"
-	if opts.Precondition {
+	if precond {
 		name = "pcg"
 	}
-	chain, err := combos.BuildChain(combos.ChainSpec{Name: name, Links: links})
-	if err != nil {
-		return nil, err
-	}
-	if !chain.Fused() {
-		return nil, fmt.Errorf("sparsefusion: internal error: solver chain did not compose into one group")
-	}
-	f.chain = chain
-	inst := chain.Groups[0]
+	inst := combos.Compose(fmt.Sprintf("%s[0:%d]", name, len(ks)), ks, deps)
 	inst.Snapshot = func() []float64 { return append([]float64(nil), f.x...) }
 	inst.Output = f.x
 
-	tr := opts.Tracer
-	f.execState = execState{inst: inst, th: opts.threads(), steal: opts.Steal, spin: opts.SpinBudget, watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: tr}
-	f.fp = opts.chainFingerprint(m, chain, block)
-	tr.raw().Emit("inspect.dag_build",
+	f.execState = newState(inst, opts.Options)
+	f.fp = opts.chainFingerprint(m, ks, block)
+	opts.Tracer.raw().Emit("inspect.dag_build",
 		telemetry.Int("op", f.id),
 		telemetry.String("combo", inst.Name),
 		telemetry.Int("n", int64(n)),
 		telemetry.Int("nnz", int64(m.NNZ())),
-		telemetry.Int("chain_len", int64(chain.NumKernels())))
-
-	params := core.Params{Threads: f.th, ReuseRatio: inst.Reuse, LBC: opts.lbc()}
-	ico := func() (*core.Schedule, error) {
-		if tr == nil {
-			return core.ICO(inst.Loops, params)
-		}
-		t := time.Now()
-		sched, tm, err := core.ICOTimed(inst.Loops, params)
-		if err != nil {
-			return nil, err
-		}
-		tr.raw().Emit("inspect.ico",
-			telemetry.Int("op", f.id),
-			telemetry.Dur("dur_ns", time.Since(t)),
-			telemetry.Dur("setup_ns", tm.Setup),
-			telemetry.Dur("lbc_ns", tm.Head),
-			telemetry.Dur("pairing_ns", tm.Pairing),
-			telemetry.Dur("merge_ns", tm.Merge),
-			telemetry.Dur("slack_ns", tm.Slack),
-			telemetry.Dur("pack_ns", tm.Pack),
-			telemetry.Int("s_partitions", int64(sched.NumSPartitions())),
-			telemetry.Bool("interleaved", sched.Interleaved))
-		return sched, nil
-	}
-	if opts.Cache == nil {
-		sched, err := ico()
-		if err != nil {
-			return nil, err
-		}
-		f.bindArtifacts(buildArtifacts(inst, sched, tr, f.id), false)
-		return f, nil
-	}
-	entry, err := opts.Cache.c.GetOrBuild(f.fp, cache.Builder{
-		Inspect:  ico,
-		Validate: inst.Loops.Validate,
-		Complete: func(s *core.Schedule) (cache.Artifacts, error) {
-			return buildArtifacts(inst, s, tr, f.id), nil
-		},
-	})
-	if err != nil {
+		telemetry.Int("chain_len", int64(len(ks))))
+	if err := f.inspect(f.fp, opts.Cache); err != nil {
 		return nil, err
 	}
-	f.cached = true
-	f.bindArtifacts(entry.Artifacts, true)
 	return f, nil
 }
 
@@ -251,7 +210,7 @@ func NewFusedCG(m *Matrix, opts FusedCGOptions) (*FusedCG, error) {
 // matrix pattern and scheduling options as usual, plus the chain length, the
 // ordered kernel ids, and the vector block size (which shapes the blocked
 // DAGs and every inter-reduction F).
-func (o FusedCGOptions) chainFingerprint(m *Matrix, c *combos.Chain, block int) cache.Key {
+func (o FusedCGOptions) chainFingerprint(m *Matrix, ks []kernels.Kernel, block int) cache.Key {
 	d := lbc.DefaultParams()
 	ic, agg := o.LBCInitialCut, o.LBCAgg
 	if ic <= 0 {
@@ -260,12 +219,16 @@ func (o FusedCGOptions) chainFingerprint(m *Matrix, c *combos.Chain, block int) 
 	if agg <= 0 {
 		agg = d.Agg
 	}
-	ids := append(c.KernelIDs(), fmt.Sprintf("block=%d", block))
+	ids := make([]string, len(ks), len(ks)+1)
+	for i, k := range ks {
+		ids[i] = k.Name()
+	}
+	ids = append(ids, fmt.Sprintf("block=%d", block))
 	return cache.Fingerprint(m.csr, cache.Params{
 		Threads:       o.threads(),
 		LBCInitialCut: ic,
 		LBCAgg:        agg,
-		ChainLen:      c.NumKernels(),
+		ChainLen:      len(ks),
 		ChainKernels:  ids,
 	})
 }
@@ -275,7 +238,7 @@ func (f *FusedCG) Fingerprint() string { return f.fp.String() }
 
 // ChainLength is the number of kernels composed into the fused schedule
 // (8 preconditioned, 6 unpreconditioned).
-func (f *FusedCG) ChainLength() int { return f.chain.NumKernels() }
+func (f *FusedCG) ChainLength() int { return len(f.inst.Kernels) }
 
 // Preconditioned reports whether the chain embeds the IC0 solves.
 func (f *FusedCG) Preconditioned() bool { return f.precond }

@@ -23,10 +23,11 @@ type GaussSeidel struct {
 	x0   []float64 // sweep-chain input, shared with the first SpMV
 	xEnd []float64 // sweep-chain output
 	ks   []kernels.Kernel
-	sch  *core.Schedule
-	// run is the compiled sweep chain; nil means the legacy executor runs
-	// the schedule (it exceeded the packed representation).
+	// run is the compiled sweep chain. When the schedule exceeds the packed
+	// representation run is nil and the legacy executor walks sch, which is
+	// kept only then.
 	run *exec.Runner
+	sch *core.Schedule
 	th  int
 	// SweepsPerFusion is how many sweeps one fused execution performs.
 	SweepsPerFusion int
@@ -83,8 +84,9 @@ func NewGaussSeidel(m *Matrix, opts GSOptions) (*GaussSeidel, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.sch = sch
-	g.run, _ = exec.CompileFused(g.ks, sch)
+	if g.run, err = exec.CompileFused(g.ks, sch); err != nil {
+		g.sch = sch
+	}
 	return g, nil
 }
 
@@ -169,4 +171,9 @@ func (g *GaussSeidel) SolveContext(ctx context.Context, b []float64, tol float64
 }
 
 // Barriers reports the synchronizations per fused sweep chain.
-func (g *GaussSeidel) Barriers() int { return g.sch.NumSPartitions() }
+func (g *GaussSeidel) Barriers() int {
+	if g.run != nil {
+		return g.run.Program().NumSPartitions()
+	}
+	return g.sch.NumSPartitions()
+}

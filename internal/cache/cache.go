@@ -15,11 +15,13 @@ import (
 // never written post-build, and the layout's streams are read-only during
 // execution (relayout.Build refuses chains that overwrite packed sources).
 type Artifacts struct {
-	// Schedule is the fused ICO schedule; never nil in a published entry.
+	// Schedule is the fused ICO schedule, kept only when there is no Program
+	// to decompile it from (core.Program.Decompile restores it exactly); a
+	// published entry has at least one of the two.
 	Schedule *core.Schedule
 	// Program is the schedule compiled to the flat executor form; nil when
 	// the schedule exceeds the compiled representation (ProgramErr says why),
-	// in which case consumers run the legacy executor.
+	// in which case consumers run the legacy executor on Schedule.
 	Program *core.Program
 	// Plan is the program's dispatch plan, set whenever Program is. Every
 	// consumer of the entry binds it to its own kernels (exec.Plan.Bind)
@@ -34,11 +36,14 @@ type Artifacts struct {
 	LayoutErr string
 }
 
-// Bytes returns the artifacts' resident footprint in bytes: program, plan
-// and packed layout (streams plus segment cursors). The schedule is left
-// out: it is the inspector's product, not what execution keeps hot.
+// Bytes returns the artifacts' resident footprint in bytes: every artifact
+// kept — schedule, program, plan and packed layout (streams plus segment
+// cursors).
 func (a *Artifacts) Bytes() int64 {
 	var n int64
+	if a.Schedule != nil {
+		n += a.Schedule.Resident()
+	}
 	if a.Program != nil {
 		n += a.Program.Bytes()
 	}
@@ -141,7 +146,7 @@ func (c *Cache) emit(kind EventKind, key Key, dur time.Duration, errStr string) 
 }
 
 // DefaultMaxEntries is the in-memory bound when Config.MaxEntries is unset.
-// An entry is roughly the schedule plus program plus packed streams —
+// An entry is roughly the program (or schedule) plus packed streams —
 // pattern-sized — so the default assumes a universe of at most a few hundred
 // live patterns.
 const DefaultMaxEntries = 128
@@ -305,13 +310,13 @@ func (c *Cache) build(key Key, b Builder) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	if art.Schedule == nil {
+	if art.Program == nil && art.Schedule == nil {
 		art.Schedule = sched
 	}
 	e := &Entry{Key: key, Artifacts: art, FromDisk: fromDisk, bytes: art.Bytes()}
 	e.lastUse.Store(c.clock.Add(1))
 	if c.dir != "" && !fromDisk {
-		if err := c.saveDisk(key, art.Schedule); err != nil {
+		if err := c.saveDisk(key, sched); err != nil {
 			c.diskErrors.Add(1)
 			c.emit(EventDiskError, key, 0, err.Error())
 		} else {
@@ -375,8 +380,9 @@ type Stats struct {
 	// concurrent-build mark.
 	Entries, Inflight, InflightPeak int
 	MaxEntries                      int
-	// ResidentBytes is the in-memory tier's artifact footprint: program,
-	// dispatch plan and packed layout bytes of every published entry.
+	// ResidentBytes is the in-memory tier's artifact footprint: schedule,
+	// program, dispatch plan and packed layout bytes of every published
+	// entry (Artifacts.Bytes).
 	ResidentBytes int64
 }
 

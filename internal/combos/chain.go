@@ -84,13 +84,10 @@ func BuildChain(spec ChainSpec) (*Chain, error) {
 				fs = append(fs, ln.F)
 			}
 		}
-		g := &Instance{
-			Name:    fmt.Sprintf("%s[%d:%d]", spec.Name, lo, i),
-			Kernels: ks,
-			Loops:   &core.Loops{F: fs},
-		}
-		finishChain(g)
-		if err := g.Loops.Check(); err != nil {
+		// The group's fusion input is materialized like Build's; Compose is
+		// the same assembly without it (the GS chain and the fused solvers).
+		g := Compose(fmt.Sprintf("%s[%d:%d]", spec.Name, lo, i), ks, func() []*sparse.CSR { return fs })
+		if err := g.materialize(1); err != nil {
 			return nil, fmt.Errorf("combos: chain %q group [%d:%d): %w", spec.Name, lo, i, err)
 		}
 		c.Groups = append(c.Groups, g)
@@ -99,33 +96,8 @@ func BuildChain(spec ChainSpec) (*Chain, error) {
 	return c, nil
 }
 
-// finishChain fills an instance's derived chain fields — per-kernel DAGs,
-// MKL-sequential flags, and the chain reuse ratio — from Kernels and the
-// already-set Loops.F. Shared by BuildChain groups and BuildGSWorkers, so the
-// GS chain is the k = 2·nSweeps special case of the general assembly.
-func finishChain(in *Instance) {
-	for _, k := range in.Kernels {
-		in.Loops.G = append(in.Loops.G, k.DAG())
-		in.mklSeq = append(in.mklSeq, false)
-	}
-	in.Reuse = core.ReuseRatioChain(in.Kernels)
-}
-
 // Fused reports whether the whole chain composed into a single fused group.
 func (c *Chain) Fused() bool { return len(c.Groups) == 1 }
-
-// NumKernels is the chain length k.
-func (c *Chain) NumKernels() int { return len(c.Spec.Links) }
-
-// KernelIDs returns the ordered kernel names — the chain identity the cache
-// fingerprints content-address by.
-func (c *Chain) KernelIDs() []string {
-	ids := make([]string, len(c.Spec.Links))
-	for i, ln := range c.Spec.Links {
-		ids[i] = ln.K.Name()
-	}
-	return ids
-}
 
 // Barriers sums the groups' s-partition counts after inspection — the
 // barrier sequences one pass over the chain pays (each group runs one fused
@@ -148,7 +120,7 @@ func (c *Chain) SparseFusion(threads int, lp lbc.Params) (*Impl, []*core.Schedul
 		Name: "sparse-fusion-chain",
 		inspect: func() error {
 			for i, g := range c.Groups {
-				s, err := core.ICO(g.Loops, core.Params{Threads: threads, ReuseRatio: g.Reuse, LBC: lp})
+				s, err := g.ico(threads, lp)
 				if err != nil {
 					return err
 				}

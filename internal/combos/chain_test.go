@@ -1,7 +1,6 @@
 package combos
 
 import (
-	"strings"
 	"testing"
 
 	"sparsefusion/internal/core"
@@ -73,7 +72,7 @@ func TestBuildChainGroupingPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !whole.Fused() || whole.NumKernels() != 4 {
+	if !whole.Fused() || len(whole.Spec.Links) != 4 {
 		t.Fatalf("unbounded spec composed into %d groups", len(whole.Groups))
 	}
 	if g := whole.Groups[0]; len(g.Kernels) != 4 || len(g.Loops.G) != 4 || len(g.Loops.F) != 3 {
@@ -116,23 +115,6 @@ func TestBuildChainGroupingPolicies(t *testing.T) {
 	}
 	if len(cut.PairReuse) != 3 {
 		t.Fatalf("%d pair reuse ratios, want 3", len(cut.PairReuse))
-	}
-}
-
-func TestChainKernelIDsOrdered(t *testing.T) {
-	spec, _, _ := trsvChainSpec(t, 40, 3)
-	c, err := BuildChain(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := c.KernelIDs()
-	if len(ids) != 3 {
-		t.Fatalf("%d ids, want 3", len(ids))
-	}
-	for _, id := range ids {
-		if !strings.Contains(id, "TRSV") {
-			t.Fatalf("unexpected kernel id %q", id)
-		}
 	}
 }
 

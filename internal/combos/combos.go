@@ -18,6 +18,7 @@ package combos
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"sparsefusion/internal/core"
@@ -61,14 +62,23 @@ var Names = map[ID]string{
 var All = []ID{TrsvTrsv, DscalIlu0, TrsvMv, Ic0Trsv, Ilu0Trsv, DscalIc0}
 
 // Instance is one combination instantiated over one matrix: its kernels in
-// program order, the fusion input (DAGs plus F), the reuse ratio the
-// inspector computed, and an observable result for verification.
+// program order, the recipe of its fusion input (DAGs plus F), and an
+// observable result for verification.
+//
+// The fusion input and the reuse ratio exist only to build a fused schedule
+// and to check one. New and Compose — the serving path — therefore keep
+// neither: FusionInput and ReuseRatio build them on request, and the caller
+// drops them once inspection or validation is done. Build, BuildGS and
+// BuildChain materialize both into Loops and Reuse for the harnesses that
+// read them directly.
 type Instance struct {
 	ID      ID
 	Name    string
 	Kernels []kernels.Kernel
-	Loops   *core.Loops
-	Reuse   float64
+	// Loops and Reuse are the materialized fusion input and reuse ratio; nil
+	// and 0 on an instance from New or Compose.
+	Loops *core.Loops
+	Reuse float64
 	// Snapshot copies the observable output (the last kernel's result).
 	Snapshot func() []float64
 	// Input is the combination's input vector (nil for matrix-only
@@ -81,7 +91,70 @@ type Instance struct {
 	// GSX0 is the sweep-chain input of a BuildGS instance (copy Output into
 	// it between executions to iterate the solver); nil otherwise.
 	GSX0 []float64
+	// deps builds the inter-loop dependency matrices (Loops.F), one per
+	// adjacent kernel pair.
+	deps func() []*sparse.CSR
 }
+
+// loopBuilds counts fusion inputs built (see LoopBuilds).
+var loopBuilds atomic.Int64
+
+// LoopBuilds reports how many fusion inputs this process has built: the
+// probe tests use to prove a path (a cache hit, a session) builds no DAG and
+// no F matrix.
+func LoopBuilds() int64 { return loopBuilds.Load() }
+
+// Compose assembles a chain of kernels in program order into an instance
+// without building its fusion input: deps builds the len(ks)-1 dependency
+// matrices (F[k] from kernel k to kernel k+1) whenever FusionInput is called.
+func Compose(name string, ks []kernels.Kernel, deps func() []*sparse.CSR) *Instance {
+	return &Instance{Name: name, Kernels: ks, mklSeq: make([]bool, len(ks)), deps: deps}
+}
+
+// FusionInput returns the fusion input: Loops when materialized, otherwise a
+// fresh one built from the kernels' DAGs and the F recipe, which the instance
+// does not keep. Its shapes are checked (Loops.Check).
+func (in *Instance) FusionInput() (*core.Loops, error) {
+	if in.Loops != nil {
+		return in.Loops, nil
+	}
+	return in.buildLoops(1)
+}
+
+// buildLoops builds the kernel DAGs and the F matrices as concurrent tasks
+// on up to workers goroutines. The builders only read the kernels' patterns,
+// so the result is identical for any worker count.
+func (in *Instance) buildLoops(workers int) (*core.Loops, error) {
+	loopBuilds.Add(1)
+	k := len(in.Kernels)
+	l := &core.Loops{G: make([]*dag.Graph, k)}
+	par.ForEach(workers, k+1, func(i int) {
+		if i == k {
+			l.F = in.deps()
+			return
+		}
+		l.G[i] = in.Kernels[i].DAG()
+	})
+	if err := l.Check(); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// materialize builds the fusion input and the reuse ratio into Loops and
+// Reuse.
+func (in *Instance) materialize(workers int) error {
+	l, err := in.buildLoops(workers)
+	if err != nil {
+		return err
+	}
+	in.Loops, in.Reuse = l, in.ReuseRatio()
+	return nil
+}
+
+// ReuseRatio computes the chain reuse ratio (core.ReuseRatioChain) from the
+// kernels' footprints: a few map operations, so it is never stored.
+func (in *Instance) ReuseRatio() float64 { return core.ReuseRatioChain(in.Kernels) }
 
 // FlopCount sums the kernels' floating-point work.
 func (in *Instance) FlopCount() int64 {
@@ -92,24 +165,43 @@ func (in *Instance) FlopCount() int64 {
 	return f
 }
 
-// Build instantiates combination id over the SPD matrix a. Input vectors are
-// derived deterministically from the matrix size.
+// New instantiates combination id over the SPD matrix a without building its
+// fusion input (see Instance). Input vectors are derived deterministically
+// from the matrix size.
+func New(id ID, a *sparse.CSR) (*Instance, error) {
+	return newInstance(id, a, 1)
+}
+
+// Build is New with the fusion input and reuse ratio materialized into Loops
+// and Reuse.
 func Build(id ID, a *sparse.CSR) (*Instance, error) {
 	return BuildWorkers(id, a, 1)
 }
 
 // BuildWorkers is Build with intra-build parallelism: the two kernel
-// constructors (which build the iteration DAGs) run concurrently, then the F
-// matrix construction overlaps the reuse-ratio computation. Constructors only
-// read their shared inputs, so the result is identical for any worker count.
+// constructors run concurrently, then the DAG builds overlap the F matrix
+// construction. Both only read their shared inputs, so the result is
+// identical for any worker count.
 func BuildWorkers(id ID, a *sparse.CSR, workers int) (*Instance, error) {
+	in, err := newInstance(id, a, workers)
+	if err != nil {
+		return nil, err
+	}
+	if err := in.materialize(workers); err != nil {
+		return nil, err
+	}
+	return in, nil
+}
+
+// newInstance builds combination id's kernels, vectors and F recipe.
+func newInstance(id ID, a *sparse.CSR, workers int) (*Instance, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("combos: matrix must be square, got %dx%d", a.Rows, a.Cols)
 	}
 	n := a.Rows
 	in := &Instance{ID: id, Name: Names[id]}
 	vec := func(seed int64) []float64 { return sparse.RandomVec(n, seed) }
-	// Each combination provides its two constructor stages and F builder;
+	// Each combination provides its two constructor stages and F recipe;
 	// finish runs after construction for wiring that needs the built kernels.
 	var (
 		build1, build2 func() kernels.Kernel
@@ -219,12 +311,7 @@ func BuildWorkers(id ID, a *sparse.CSR, workers int) (*Instance, error) {
 		return nil, buildErr
 	}
 	in.Kernels = []kernels.Kernel{k1, k2}
-	var f *sparse.CSR
-	par.Do(workers,
-		func() { f = buildF() },
-		func() { in.Reuse = core.ReuseRatioChain(in.Kernels) },
-	)
-	in.Loops = &core.Loops{G: []*dag.Graph{k1.DAG(), k2.DAG()}, F: []*sparse.CSR{f}}
+	in.deps = func() []*sparse.CSR { return []*sparse.CSR{buildF()} }
 	if finish != nil {
 		finish(k1, k2)
 	}
@@ -253,10 +340,8 @@ func BuildGSWorkers(a *sparse.CSR, nSweeps, workers int) (*Instance, error) {
 		negU.X[i] = -negU.X[i]
 	}
 	b := sparse.RandomVec(n, 3)
-	in := &Instance{ID: 0, Name: fmt.Sprintf("GS-%dsweeps", nSweeps)}
-	in.Loops = &core.Loops{}
 	// Allocate the sweep-chained vectors serially, then construct every
-	// kernel (2 per sweep, all DAG-building) concurrently.
+	// kernel (2 per sweep) concurrently.
 	xs := make([][]float64, nSweeps+1) // xs[s] feeds sweep s
 	ts := make([][]float64, nSweeps)
 	xs[0] = make([]float64, n) // x_0 = 0
@@ -264,28 +349,33 @@ func BuildGSWorkers(a *sparse.CSR, nSweeps, workers int) (*Instance, error) {
 		ts[s] = make([]float64, n)
 		xs[s+1] = make([]float64, n)
 	}
-	in.GSX0 = xs[0]
-	in.Kernels = make([]kernels.Kernel, 2*nSweeps)
+	ks := make([]kernels.Kernel, 2*nSweeps)
 	par.ForEach(workers, 2*nSweeps, func(i int) {
 		s := i / 2
 		if i%2 == 0 {
-			in.Kernels[i] = kernels.NewSpMVPlusCSR(negU, xs[s], b, ts[s]) // t = b - U*x
+			ks[i] = kernels.NewSpMVPlusCSR(negU, xs[s], b, ts[s]) // t = b - U*x
 		} else {
-			in.Kernels[i] = kernels.NewSpTRSVCSR(l, ts[s], xs[s+1]) // xNext = L \ t
+			ks[i] = kernels.NewSpTRSVCSR(l, ts[s], xs[s+1]) // xNext = L \ t
 		}
 	})
 	// F matrices: per sweep s > 0 the SpMV reads x produced by the previous
 	// TRSV (row i needs x[j] for every nonzero U[i][j]); every TRSV reads
 	// t[i] from its own SpMV.
-	in.Loops.F = make([]*sparse.CSR, 2*nSweeps-1)
-	par.ForEach(workers, 2*nSweeps-1, func(i int) {
-		if i%2 == 0 {
-			in.Loops.F[i] = core.FDiagonal(n)
-		} else {
-			in.Loops.F[i] = core.FPattern(u)
-		}
+	in := Compose(fmt.Sprintf("GS-%dsweeps", nSweeps), ks, func() []*sparse.CSR {
+		fs := make([]*sparse.CSR, 2*nSweeps-1)
+		par.ForEach(workers, len(fs), func(i int) {
+			if i%2 == 0 {
+				fs[i] = core.FDiagonal(n)
+			} else {
+				fs[i] = core.FPattern(u)
+			}
+		})
+		return fs
 	})
-	finishChain(in)
+	if err := in.materialize(workers); err != nil {
+		return nil, err
+	}
+	in.GSX0 = xs[0]
 	final := xs[nSweeps]
 	in.Snapshot = snap(final)
 	in.Input, in.Output = b, final
@@ -303,17 +393,18 @@ func snap(v []float64) func() []float64 {
 var ErrNotCloneable = errors.New("combos: combination writes matrix values and cannot be cloned for concurrent sessions")
 
 // CloneForSession returns a copy of the instance with fresh input, output,
-// and intermediate vectors but the same matrices, iteration DAGs, and fusion
-// input (Loops). The clone is what a serving client solves on: the expensive
-// immutable inspection state is shared, the per-run storage is private, so
-// any number of clones may execute the same cached schedule concurrently.
+// and intermediate vectors but the same matrices and F recipe; like an
+// instance from New, the clone builds its fusion input only on request. The
+// clone is what a serving client solves on: the immutable matrices are
+// shared, the per-run storage is private, so any number of clones may execute
+// the same cached schedule concurrently.
 // Only the pure combinations — TRSV-TRSV, TRSV-MV, MV-MV, whose kernels never
 // write matrix values — are cloneable; the rest return ErrNotCloneable.
 //
 // The clone's Input starts as a copy of the base instance's input, so an
 // unmodified clone computes the base result (the bit-identity oracle).
 func (in *Instance) CloneForSession() (*Instance, error) {
-	c := &Instance{ID: in.ID, Name: in.Name, Loops: in.Loops, Reuse: in.Reuse, mklSeq: in.mklSeq}
+	c := &Instance{ID: in.ID, Name: in.Name, mklSeq: in.mklSeq, deps: in.deps}
 	n := len(in.Output)
 	mid := make([]float64, n)
 	out := make([]float64, n)
@@ -394,7 +485,7 @@ func (in *Instance) SparseFusion(threads int, lp lbc.Params) *Impl {
 		Name: "sparse-fusion",
 		inspect: func() error {
 			var err error
-			sched, err = core.ICO(in.Loops, core.Params{Threads: threads, ReuseRatio: in.Reuse, LBC: lp})
+			sched, err = in.ico(threads, lp)
 			if err != nil {
 				return err
 			}
@@ -412,6 +503,15 @@ func (in *Instance) SparseFusion(threads int, lp lbc.Params) *Impl {
 	}
 }
 
+// ico runs ICO over the instance's fusion input.
+func (in *Instance) ico(threads int, lp lbc.Params) (*core.Schedule, error) {
+	l, err := in.FusionInput()
+	if err != nil {
+		return nil, err
+	}
+	return core.ICO(l, core.Params{Threads: threads, ReuseRatio: in.ReuseRatio(), LBC: lp})
+}
+
 // SparseFusionLegacy runs the same ICO schedule through the slice-walking
 // reference executor: the comparison row that isolates what compiling the
 // schedule buys.
@@ -421,7 +521,7 @@ func (in *Instance) SparseFusionLegacy(threads int, lp lbc.Params) *Impl {
 		Name: "sf-legacy",
 		inspect: func() error {
 			var err error
-			sched, err = core.ICO(in.Loops, core.Params{Threads: threads, ReuseRatio: in.Reuse, LBC: lp})
+			sched, err = in.ico(threads, lp)
 			return err
 		},
 		execute: func() (exec.Stats, error) { return exec.RunFusedLegacy(in.Kernels, sched, threads) },
@@ -496,7 +596,11 @@ func (in *Instance) JointGraph() (*dag.Graph, error) { return in.joint() }
 
 // joint builds the joint DAG of the instance's kernel chain.
 func (in *Instance) joint() (*dag.Graph, error) {
-	return dag.JointChain(in.Loops.G, in.Loops.F)
+	l, err := in.FusionInput()
+	if err != nil {
+		return nil, err
+	}
+	return dag.JointChain(l.G, l.F)
 }
 
 // jointImpl wraps a joint-DAG scheduler into an Impl: inspection builds the

@@ -41,8 +41,11 @@ type Program struct {
 	NumLoops int
 	// MaxWidth is the maximum number of w-partitions in any s-partition.
 	MaxWidth int
-	// Interleaved records the packing variant of the source schedule.
+	// Interleaved records the packing variant of the source schedule, and
+	// ReuseRatio the reuse ratio that selected it, so Decompile restores
+	// the source schedule exactly.
 	Interleaved bool
+	ReuseRatio  float64
 }
 
 // NumSPartitions returns the number of barriers.
@@ -192,14 +195,16 @@ func CompileSchedule(s *Schedule, numLoops int) (*Program, error) {
 		}
 	}
 	p := b.Finish()
-	p.Interleaved = s.Interleaved
+	p.Interleaved, p.ReuseRatio = s.Interleaved, s.ReuseRatio
 	return p, nil
 }
 
-// Decompile expands the program back into the three-level schedule shape,
-// for cross-checking the compiled representation against its source.
+// Decompile expands the program back into the three-level schedule it was
+// compiled from (byte-identical Schedule.Bytes). Holders of a program keep
+// no nested schedule: they decompile one for what still walks or stores it —
+// the legacy executor, Loops.Validate, and schedule files.
 func (p *Program) Decompile() *Schedule {
-	s := &Schedule{Interleaved: p.Interleaved}
+	s := &Schedule{Interleaved: p.Interleaved, ReuseRatio: p.ReuseRatio}
 	for si := 0; si < p.NumSPartitions(); si++ {
 		var sp [][]Iter
 		for w := p.SOff[si]; w < p.SOff[si+1]; w++ {

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"unsafe"
 
 	"sparsefusion/internal/dag"
 	"sparsefusion/internal/sparse"
@@ -40,6 +41,20 @@ func (s *Schedule) NumIterations() int {
 	for _, sp := range s.S {
 		for _, w := range sp {
 			n += len(w)
+		}
+	}
+	return n
+}
+
+// Resident returns the schedule's in-memory footprint in bytes: 16 per
+// iteration plus a slice header per w- and s-partition.
+func (s *Schedule) Resident() int64 {
+	const iter, header = int64(unsafe.Sizeof(Iter{})), int64(unsafe.Sizeof([]Iter(nil)))
+	n := header * int64(len(s.S)+1)
+	for _, sp := range s.S {
+		n += header * int64(len(sp))
+		for _, w := range sp {
+			n += iter * int64(len(w))
 		}
 	}
 	return n

@@ -52,8 +52,9 @@ type Kernel interface {
 	Name() string
 	// Iterations returns the trip count of the outer (fusable) loop.
 	Iterations() int
-	// DAG returns the intra-kernel dependency DAG; an edge-free DAG means the
-	// loop is fully parallel.
+	// DAG builds the intra-kernel dependency DAG; an edge-free DAG means the
+	// loop is fully parallel. Kernels keep no DAG — only inspection and
+	// validation read one — so every call builds a fresh graph.
 	DAG() *dag.Graph
 	// Prepare resets the kernel's outputs so Run can be replayed; it must be
 	// called before each full execution.

@@ -13,19 +13,17 @@ type SpTRSVCSR struct {
 	L *sparse.CSR
 	B []float64
 	X []float64
-
-	g *dag.Graph
 }
 
 // NewSpTRSVCSR builds the kernel. L must be lower triangular with a full
 // diagonal (sparse.CSR.Lower guarantees this); B and X have length L.Rows
 // (aliasing them solves in place).
 func NewSpTRSVCSR(l *sparse.CSR, b, x []float64) *SpTRSVCSR {
-	return &SpTRSVCSR{L: l, B: b, X: x, g: dag.FromLowerCSR(l)}
+	return &SpTRSVCSR{L: l, B: b, X: x}
 }
 
 // WithVectors returns a copy of the kernel bound to fresh b/x vectors while
-// sharing the matrix and its iteration DAG — the per-session clone the
+// sharing the matrix — the per-session clone the
 // serving layer uses to split shared immutable inspection state from
 // per-client mutable storage.
 func (k *SpTRSVCSR) WithVectors(b, x []float64) *SpTRSVCSR {
@@ -36,7 +34,7 @@ func (k *SpTRSVCSR) WithVectors(b, x []float64) *SpTRSVCSR {
 
 func (k *SpTRSVCSR) Name() string    { return "SpTRSV-CSR" }
 func (k *SpTRSVCSR) Iterations() int { return k.L.Rows }
-func (k *SpTRSVCSR) DAG() *dag.Graph { return k.g }
+func (k *SpTRSVCSR) DAG() *dag.Graph { return dag.FromLowerCSR(k.L) }
 
 // Prepare is a no-op: every X entry is fully produced by its own iteration.
 func (k *SpTRSVCSR) Prepare() {}
@@ -77,23 +75,22 @@ type SpTRSVCSC struct {
 	X []float64
 	// Atomic selects atomic scatter updates, required under concurrency.
 	Atomic bool
-
-	g *dag.Graph
 }
 
 // NewSpTRSVCSC builds the kernel. L must be lower triangular with a full
 // diagonal; within each column the diagonal is the first entry (row indices
 // ascending). B and X have length L.Rows and may not alias.
 func NewSpTRSVCSC(l *sparse.CSC, b, x []float64) *SpTRSVCSC {
-	// The dependence pattern of CSC TRSV is the lower-triangular pattern
-	// itself: edge j -> i for every sub-diagonal entry of column j, with
-	// weight = column length — exactly dag.FromLowerCSC.
-	return &SpTRSVCSC{L: l, B: b, X: x, g: dag.FromLowerCSC(l)}
+	return &SpTRSVCSC{L: l, B: b, X: x}
 }
 
 func (k *SpTRSVCSC) Name() string    { return "SpTRSV-CSC" }
 func (k *SpTRSVCSC) Iterations() int { return k.L.Cols }
-func (k *SpTRSVCSC) DAG() *dag.Graph { return k.g }
+
+// DAG is the lower-triangular pattern itself: edge j -> i for every
+// sub-diagonal entry of column j, with weight = column length — exactly
+// dag.FromLowerCSC.
+func (k *SpTRSVCSC) DAG() *dag.Graph { return dag.FromLowerCSC(k.L) }
 
 // Prepare zeroes X, which accumulates the scatter updates during the solve.
 func (k *SpTRSVCSC) Prepare() {

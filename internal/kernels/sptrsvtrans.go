@@ -17,14 +17,22 @@ type SpTRSVTransCSC struct {
 	L *sparse.CSC
 	B []float64
 	X []float64
-
-	g *dag.Graph
 }
 
 // NewSpTRSVTransCSC builds the kernel. L must be lower triangular with the
 // diagonal first in every column; B and X have length L.Cols and must not
 // alias.
 func NewSpTRSVTransCSC(l *sparse.CSC, b, x []float64) *SpTRSVTransCSC {
+	return &SpTRSVTransCSC{L: l, B: b, X: x}
+}
+
+func (k *SpTRSVTransCSC) Name() string    { return "SpTRSV-trans-CSC" }
+func (k *SpTRSVTransCSC) Iterations() int { return k.L.Cols }
+func (k *SpTRSVTransCSC) Prepare()        {}
+
+// DAG builds the dependency DAG in iteration space.
+func (k *SpTRSVTransCSC) DAG() *dag.Graph {
+	l := k.L
 	n := l.Cols
 	// Column j depends on every column i > j with L[i][j] != 0 (the solve
 	// reads X[i]); in iteration space: edge (n-1-i) -> (n-1-j). Counting
@@ -58,13 +66,8 @@ func NewSpTRSVTransCSC(l *sparse.CSC, b, x []float64) *SpTRSVTransCSC {
 			}
 		}
 	}
-	return &SpTRSVTransCSC{L: l, B: b, X: x, g: g}
+	return g
 }
-
-func (k *SpTRSVTransCSC) Name() string    { return "SpTRSV-trans-CSC" }
-func (k *SpTRSVTransCSC) Iterations() int { return k.L.Cols }
-func (k *SpTRSVTransCSC) DAG() *dag.Graph { return k.g }
-func (k *SpTRSVTransCSC) Prepare()        {}
 
 // Run processes iteration it (column j = n-1-it):
 // X[j] = (B[j] - sum_{i>j} L[i][j]*X[i]) / L[j][j].

@@ -14,16 +14,22 @@ type SpTRSVUnitLowerCSR struct {
 	LU *sparse.CSR
 	B  []float64
 	X  []float64
-
-	g *dag.Graph
 }
 
 // NewSpTRSVUnitLowerCSR builds the kernel over the combined factor pattern.
-// The strictly-lower entries of LU are the dependence edges (dag.FromLowerCSR
-// ignores the U part); only the weights differ from the default — the solve
-// reads just the L prefix of each row, so w[i] = 1 + #strictly-lower entries
-// rather than the full row length.
 func NewSpTRSVUnitLowerCSR(lu *sparse.CSR, b, x []float64) *SpTRSVUnitLowerCSR {
+	return &SpTRSVUnitLowerCSR{LU: lu, B: b, X: x}
+}
+
+func (k *SpTRSVUnitLowerCSR) Name() string    { return "SpTRSV-unitL-CSR" }
+func (k *SpTRSVUnitLowerCSR) Iterations() int { return k.LU.Rows }
+
+// DAG builds the dependency DAG. The strictly-lower entries of LU are the
+// dependence edges (dag.FromLowerCSR ignores the U part); only the weights
+// differ from the default — the solve reads just the L prefix of each row, so
+// w[i] = 1 + #strictly-lower entries rather than the full row length.
+func (k *SpTRSVUnitLowerCSR) DAG() *dag.Graph {
+	lu := k.LU
 	g := dag.FromLowerCSR(lu)
 	for i := 0; i < lu.Rows; i++ {
 		c := 1
@@ -32,13 +38,10 @@ func NewSpTRSVUnitLowerCSR(lu *sparse.CSR, b, x []float64) *SpTRSVUnitLowerCSR {
 		}
 		g.W[i] = c
 	}
-	return &SpTRSVUnitLowerCSR{LU: lu, B: b, X: x, g: g}
+	return g
 }
 
-func (k *SpTRSVUnitLowerCSR) Name() string    { return "SpTRSV-unitL-CSR" }
-func (k *SpTRSVUnitLowerCSR) Iterations() int { return k.LU.Rows }
-func (k *SpTRSVUnitLowerCSR) DAG() *dag.Graph { return k.g }
-func (k *SpTRSVUnitLowerCSR) Prepare()        {}
+func (k *SpTRSVUnitLowerCSR) Prepare() {}
 
 // Run solves row i with the implicit unit diagonal:
 // X[i] = B[i] - sum_{j<i} LU[i][j]*X[j].

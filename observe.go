@@ -194,7 +194,7 @@ func newServerObs(s *serve.Server, sc *ScheduleCache) *serverObs {
 			func() float64 { return float64(st().Entries) })
 		reg.GaugeFunc("spf_cache_inflight", "Inspections in flight.",
 			func() float64 { return float64(st().Inflight) })
-		reg.GaugeFunc("spf_cache_resident_bytes", "Bytes the in-memory cache keeps resident: compiled programs, dispatch plans and packed layouts.",
+		reg.GaugeFunc("spf_cache_resident_bytes", "Bytes the in-memory cache keeps resident: compiled programs (or uncompiled schedules), dispatch plans and packed layouts.",
 			func() float64 { return float64(st().ResidentBytes) })
 	}
 	return o

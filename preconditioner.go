@@ -19,14 +19,15 @@ import (
 // non-diagonal inter-DAG matrix that goes beyond the paper's Table 1 —
 // the "arbitrary sparse operations" direction its conclusion points at.
 type IC0Preconditioner struct {
-	n     int
-	r     []float64 // input slot shared with the forward kernel
-	z     []float64 // output of the backward kernel
-	ks    []kernels.Kernel
+	n  int
+	r  []float64 // input slot shared with the forward kernel
+	z  []float64 // output of the backward kernel
+	ks []kernels.Kernel
+	// run is the compiled apply; nil falls back to the legacy executor on
+	// sched, which is kept only then.
+	run   *exec.Runner
 	sched *core.Schedule
-	// run is the compiled apply; nil falls back to the legacy executor.
-	run *exec.Runner
-	th  int
+	th    int
 }
 
 // NewIC0Preconditioner factors tril(A) with IC0 and inspects the fused
@@ -69,8 +70,9 @@ func NewIC0Preconditioner(m *Matrix, opts Options) (*IC0Preconditioner, error) {
 	if err := loops.Validate(sched); err != nil {
 		return nil, fmt.Errorf("sparsefusion: internal schedule error: %w", err)
 	}
-	p.sched = sched
-	p.run, _ = exec.CompileFused(p.ks, sched)
+	if p.run, err = exec.CompileFused(p.ks, sched); err != nil {
+		p.sched = sched
+	}
 	return p, nil
 }
 
@@ -104,7 +106,12 @@ func (p *IC0Preconditioner) Apply(r, z []float64) ([]float64, error) {
 }
 
 // Barriers reports the synchronizations per apply.
-func (p *IC0Preconditioner) Barriers() int { return p.sched.NumSPartitions() }
+func (p *IC0Preconditioner) Barriers() int {
+	if p.run != nil {
+		return p.run.Program().NumSPartitions()
+	}
+	return p.sched.NumSPartitions()
+}
 
 // MulVec computes A*x with a row-parallel sparse matrix-vector product and
 // returns the result, a convenience for building iterative methods around

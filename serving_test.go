@@ -59,9 +59,6 @@ func TestCacheHerdInspectsOnce(t *testing.T) {
 		t.Fatalf("hit rate %.3f, want > 0.9", hr)
 	}
 	for i, op := range ops {
-		if op.sched != ops[0].sched {
-			t.Fatalf("tenant %d got a different schedule pointer — artifacts not shared", i)
-		}
 		if op.prog != ops[0].prog {
 			t.Fatalf("tenant %d got a different compiled program — artifacts not shared", i)
 		}
@@ -89,7 +86,7 @@ func TestCachedArtifactsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(fresh.sched.Bytes(), warm.sched.Bytes()) {
+	if !bytes.Equal(fresh.schedule().Bytes(), warm.schedule().Bytes()) {
 		t.Fatal("cache-built schedule differs from freshly inspected schedule")
 	}
 
@@ -104,7 +101,7 @@ func TestCachedArtifactsBitIdentical(t *testing.T) {
 	if st := sc2.Stats(); st.DiskHits != 1 {
 		t.Fatalf("disk tier not used: %+v", st)
 	}
-	if !bytes.Equal(fresh.sched.Bytes(), reloaded.sched.Bytes()) {
+	if !bytes.Equal(fresh.schedule().Bytes(), reloaded.schedule().Bytes()) {
 		t.Fatal("disk-reloaded schedule differs from freshly inspected schedule")
 	}
 
@@ -145,7 +142,7 @@ func TestConcurrentSessionsMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv := NewServer(ServerConfig{MaxConcurrent: 3, Width: op.sched.MaxWidth()})
+	sv := NewServer(ServerConfig{MaxConcurrent: 3, Width: op.prog.MaxWidth})
 	defer sv.Close()
 
 	inputs := make([][]float64, clients)

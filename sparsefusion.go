@@ -166,8 +166,8 @@ type Options struct {
 	LBCInitialCut, LBCAgg int
 	// Cache, when non-nil, routes inspection through a content-addressed
 	// schedule cache: NewOperation computes a structural fingerprint of the
-	// matrix pattern and these options, and reuses the cached schedule,
-	// compiled program, and packed layout when an equal fingerprint was
+	// matrix pattern and these options, and reuses the cached compiled
+	// program, dispatch plan and packed layout when an equal fingerprint was
 	// inspected before (in this process or, with a disk tier, an earlier one).
 	Cache *ScheduleCache
 	// Tracer, when non-nil, receives structured events for the inspection
@@ -254,7 +254,8 @@ type CacheConfig struct {
 }
 
 // ScheduleCache is a content-addressed store for inspection artifacts —
-// the fused schedule, its compiled program, and its packed re-layout — keyed
+// the fused schedule's compiled program, its dispatch plan, and its packed
+// re-layout — keyed
 // by a structural fingerprint of the matrix pattern and scheduling options.
 // The paper's economics are amortization (inspection costs tens of solves;
 // the schedule stays valid while the pattern is unchanged, section 2.1);
@@ -298,8 +299,9 @@ type CacheStats struct {
 	Entries, Inflight, InflightPeak int
 	// MaxEntries is the configured in-memory bound.
 	MaxEntries int
-	// ResidentBytes is the memory the in-memory tier keeps resident: the
-	// compiled program, dispatch plan and packed layout of every entry.
+	// ResidentBytes is the memory the in-memory tier keeps resident: every
+	// artifact of every entry — the compiled program (or, when the schedule
+	// does not compile, the schedule), dispatch plan and packed layout.
 	ResidentBytes int64
 }
 
@@ -381,14 +383,22 @@ type Health struct {
 
 // execState is the executor half shared by Operation and Session: the kernel
 // instance holding the mutable vectors, the immutable inspection artifacts
-// (schedule, compiled program, packed layout), and the mutable ladder state.
+// (compiled program, packed layout), and the mutable ladder state.
 //
-// mu guards the ladder state (runner, layout, demotions) so Health may be
-// polled from a monitoring goroutine while Run executes; Run itself must not
-// be called concurrently on one execState — concurrency comes from multiple
-// Sessions, each with its own state.
+// A state keeps only what runs. The fusion input (DAGs and F matrices) is
+// built for inspection or validation and dropped (fusionInput), and the
+// nested schedule is decompiled from the program on request (schedule).
+//
+// mu guards the ladder state (runner, sched, layout, demotions) so Health may
+// be polled from a monitoring goroutine while Run executes; Run itself must
+// not be called concurrently on one execState — concurrency comes from
+// multiple Sessions, each with its own state.
 type execState struct {
-	inst  *combos.Instance
+	inst *combos.Instance
+	// sched is the nested schedule, kept only where the program cannot stand
+	// in for it: when there is none, once the ladder reached the legacy rung
+	// (which walks the nested form), or once a fault showed the program
+	// corrupt (revalidate).
 	sched *core.Schedule
 	// prog is the compiled flat form, shared (immutably) with every session
 	// and cache consumer; nil when the schedule exceeds the compiled
@@ -398,6 +408,9 @@ type execState struct {
 	// binds it to this state's kernels.
 	plan *exec.Plan
 	th   int
+	// lbc is the LBC tuning inspection runs with (Options.LBCInitialCut and
+	// LBCAgg).
+	lbc lbc.Params
 	// steal, spin and watchdog are the executor tuning carried from Options
 	// (Steal, SpinBudget, Watchdog), applied to every runner this state
 	// builds — including the rebuilt runner of a session bound to shared
@@ -427,6 +440,107 @@ type execState struct {
 	// stealSeen/reseedSeen are the runner steal counters a Server has already
 	// harvested into its metrics (guarded by mu, like demSeen).
 	stealSeen, reseedSeen int64
+}
+
+// newState starts the executor state of a kernel instance under opts.
+func newState(inst *combos.Instance, opts Options) execState {
+	return execState{inst: inst, th: opts.threads(), lbc: opts.lbc(), steal: opts.Steal, spin: opts.SpinBudget, watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer}
+}
+
+// fusionInput builds the instance's fusion input for one inspection or
+// validation, tracing the build as inspect.loops. The state keeps no
+// reference to it.
+func (e *execState) fusionInput() (*core.Loops, error) {
+	t0 := time.Now()
+	l, err := e.inst.FusionInput()
+	e.tr.raw().Emit("inspect.loops",
+		telemetry.Int("op", e.id),
+		telemetry.Int("loops", int64(len(e.inst.Kernels))),
+		telemetry.Dur("dur_ns", time.Since(t0)))
+	return l, err
+}
+
+// validate checks sched against a freshly built fusion input.
+func (e *execState) validate(sched *core.Schedule) error {
+	l, err := e.fusionInput()
+	if err != nil {
+		return err
+	}
+	return l.Validate(sched)
+}
+
+// params are the ICO parameters of this state's inspection.
+func (e *execState) params() core.Params {
+	return core.Params{Threads: e.th, ReuseRatio: e.inst.ReuseRatio(), LBC: e.lbc}
+}
+
+// ico inspects the instance: it builds the fusion input, runs ICO over it
+// (traced as inspect.ico with the stage breakdown when a tracer is attached)
+// and drops the input.
+func (e *execState) ico() (*core.Schedule, error) {
+	loops, err := e.fusionInput()
+	if err != nil {
+		return nil, err
+	}
+	t := e.tr.raw()
+	if t == nil {
+		return core.ICO(loops, e.params())
+	}
+	t0 := time.Now()
+	sched, tm, err := core.ICOTimed(loops, e.params())
+	if err != nil {
+		return nil, err
+	}
+	t.Emit("inspect.ico",
+		telemetry.Int("op", e.id),
+		telemetry.Dur("dur_ns", time.Since(t0)),
+		telemetry.Dur("setup_ns", tm.Setup),
+		telemetry.Dur("lbc_ns", tm.Head),
+		telemetry.Dur("pairing_ns", tm.Pairing),
+		telemetry.Dur("merge_ns", tm.Merge),
+		telemetry.Dur("slack_ns", tm.Slack),
+		telemetry.Dur("pack_ns", tm.Pack),
+		telemetry.Int("s_partitions", int64(sched.NumSPartitions())),
+		telemetry.Bool("interleaved", sched.Interleaved))
+	return sched, nil
+}
+
+// inspect binds the state's artifacts under fingerprint fp: through sc when
+// a cache is attached — inspecting only on a miss, so a hit builds no fusion
+// input at all — and by inspecting now otherwise.
+func (e *execState) inspect(fp cache.Key, sc *ScheduleCache) error {
+	if sc == nil {
+		sched, err := e.ico()
+		if err != nil {
+			return err
+		}
+		e.bindArtifacts(buildArtifacts(e.inst, sched, e.tr, e.id), false)
+		return nil
+	}
+	entry, err := sc.c.GetOrBuild(fp, cache.Builder{
+		Inspect:  e.ico,
+		Validate: e.validate,
+		Complete: func(s *core.Schedule) (cache.Artifacts, error) {
+			return buildArtifacts(e.inst, s, e.tr, e.id), nil
+		},
+	})
+	if err != nil {
+		return err
+	}
+	e.bindArtifacts(entry.Artifacts, true)
+	return nil
+}
+
+// schedule returns the nested schedule: the kept one, or a fresh copy
+// decompiled from the program for the caller to drop.
+func (e *execState) schedule() *core.Schedule {
+	e.mu.Lock()
+	s := e.sched
+	e.mu.Unlock()
+	if s != nil {
+		return s
+	}
+	return e.prog.Decompile()
 }
 
 // demote appends demotion records and emits their trace events. Caller must
@@ -469,74 +583,30 @@ func (e *execState) emitDemotions(ds []Demotion) {
 // independent concurrent clients sharing the inspection artifacts.
 type Operation struct {
 	execState
-	fp     cache.Key
-	cached bool
+	fp cache.Key
 }
 
 // NewOperation inspects combination c over the SPD matrix m. With
 // Options.Cache set, inspection runs at most once per fingerprint — an
-// operation over a previously seen pattern reuses the cached schedule,
-// program, and (when the matrix values also match) packed layout.
+// operation over a previously seen pattern reuses the cached program and
+// plan, and (when the matrix values also match) packed layout, without
+// building the pattern's DAGs or dependency matrices.
 func NewOperation(c Combination, m *Matrix, opts Options) (*Operation, error) {
-	tr := opts.Tracer
 	t0 := time.Now()
-	inst, err := combos.Build(combos.ID(c), m.csr)
+	inst, err := combos.New(combos.ID(c), m.csr)
 	if err != nil {
 		return nil, err
 	}
-	op := &Operation{
-		execState: execState{inst: inst, th: opts.threads(), steal: opts.Steal, spin: opts.SpinBudget, watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: tr},
-		fp:        opts.fingerprint(c, m),
-	}
-	tr.raw().Emit("inspect.dag_build",
+	op := &Operation{execState: newState(inst, opts), fp: opts.fingerprint(c, m)}
+	opts.Tracer.raw().Emit("inspect.dag_build",
 		telemetry.Int("op", op.id),
 		telemetry.String("combo", inst.Name),
 		telemetry.Int("n", int64(m.Rows())),
 		telemetry.Int("nnz", int64(m.NNZ())),
 		telemetry.Dur("dur_ns", time.Since(t0)))
-	params := core.Params{Threads: op.th, ReuseRatio: inst.Reuse, LBC: opts.lbc()}
-	ico := func() (*core.Schedule, error) {
-		if tr == nil {
-			return core.ICO(inst.Loops, params)
-		}
-		t := time.Now()
-		sched, tm, err := core.ICOTimed(inst.Loops, params)
-		if err != nil {
-			return nil, err
-		}
-		tr.raw().Emit("inspect.ico",
-			telemetry.Int("op", op.id),
-			telemetry.Dur("dur_ns", time.Since(t)),
-			telemetry.Dur("setup_ns", tm.Setup),
-			telemetry.Dur("lbc_ns", tm.Head),
-			telemetry.Dur("pairing_ns", tm.Pairing),
-			telemetry.Dur("merge_ns", tm.Merge),
-			telemetry.Dur("slack_ns", tm.Slack),
-			telemetry.Dur("pack_ns", tm.Pack),
-			telemetry.Int("s_partitions", int64(sched.NumSPartitions())),
-			telemetry.Bool("interleaved", sched.Interleaved))
-		return sched, nil
-	}
-	if opts.Cache == nil {
-		sched, err := ico()
-		if err != nil {
-			return nil, err
-		}
-		op.bindArtifacts(buildArtifacts(inst, sched, tr, op.id), false)
-		return op, nil
-	}
-	entry, err := opts.Cache.c.GetOrBuild(op.fp, cache.Builder{
-		Inspect:  ico,
-		Validate: inst.Loops.Validate,
-		Complete: func(s *core.Schedule) (cache.Artifacts, error) {
-			return buildArtifacts(inst, s, tr, op.id), nil
-		},
-	})
-	if err != nil {
+	if err := op.inspect(op.fp, opts.Cache); err != nil {
 		return nil, err
 	}
-	op.cached = true
-	op.bindArtifacts(entry.Artifacts, true)
 	return op, nil
 }
 
@@ -548,16 +618,19 @@ func NewOperation(c Combination, m *Matrix, opts Options) (*Operation, error) {
 func (op *Operation) Fingerprint() string { return op.fp.String() }
 
 // buildArtifacts derives the full chain from a schedule: the compiled flat
-// program and its dispatch plan, then the schedule-order packed layout. A stage that does not fit
-// leaves its artifact nil with the reason recorded — the executor ladder
-// handles the gap, it is not an error. A non-nil tracer sees one event per
-// stage (inspect.compile, inspect.relayout) with duration and outcome.
+// program and its dispatch plan, then the schedule-order packed layout. A
+// stage that does not fit leaves its artifact nil with the reason recorded —
+// the executor ladder handles the gap, it is not an error. The schedule
+// itself is kept only when it does not compile: a program decompiles back to
+// it. A non-nil tracer sees one event per stage (inspect.compile,
+// inspect.relayout) with duration and outcome.
 func buildArtifacts(inst *combos.Instance, sched *core.Schedule, tr *Tracer, id int64) cache.Artifacts {
 	t := tr.raw()
-	art := cache.Artifacts{Schedule: sched}
+	var art cache.Artifacts
 	t0 := time.Now()
 	prog, err := core.CompileSchedule(sched, len(inst.Kernels))
 	if err != nil {
+		art.Schedule = sched
 		art.ProgramErr = err.Error()
 		t.Emit("inspect.compile",
 			telemetry.Int("op", id),
@@ -609,6 +682,7 @@ func (e *execState) bindArtifacts(art cache.Artifacts, shared bool) (relaid bool
 	e.prog, e.plan = art.Program, art.Plan
 	r, err := art.Plan.Bind(e.inst.Kernels)
 	if err != nil {
+		e.sched = art.Program.Decompile() // the legacy rung walks it
 		e.progErr = err.Error()
 		e.demote(
 			Demotion{From: ModePacked, To: ModeCompiled, Reason: err.Error()},
@@ -697,13 +771,23 @@ func (e *execState) SetInput(x []float64) error {
 func (e *execState) Output() []float64 { return e.inst.Snapshot() }
 
 // ReuseRatio reports the inspector's locality metric (paper section 2.2).
-func (e *execState) ReuseRatio() float64 { return e.inst.Reuse }
+func (e *execState) ReuseRatio() float64 { return e.inst.ReuseRatio() }
 
 // Interleaved reports the packing variant the reuse ratio selected.
-func (e *execState) Interleaved() bool { return e.sched.Interleaved }
+func (e *execState) Interleaved() bool {
+	if e.prog != nil {
+		return e.prog.Interleaved
+	}
+	return e.sched.Interleaved
+}
 
 // Barriers returns the number of synchronizations per execution.
-func (e *execState) Barriers() int { return e.sched.NumSPartitions() }
+func (e *execState) Barriers() int {
+	if e.prog != nil {
+		return e.prog.NumSPartitions()
+	}
+	return e.sched.NumSPartitions()
+}
 
 // Run executes the fused schedule once.
 //
@@ -784,7 +868,7 @@ func (e *execState) runLadder(ctx context.Context, pl *exec.Pool) (exec.Stats, e
 	}
 	for {
 		e.mu.Lock()
-		r := e.runner
+		r, sched := e.runner, e.sched
 		e.mu.Unlock()
 		var st exec.Stats
 		var err error
@@ -793,10 +877,10 @@ func (e *execState) runLadder(ctx context.Context, pl *exec.Pool) (exec.Stats, e
 			st, err = r.RunOnContext(ctx, pl, e.th)
 		case r != nil:
 			st, err = r.RunContext(ctx, e.th)
-		case pl != nil && e.sched.MaxWidth() <= pl.Width():
-			st, err = exec.RunFusedLegacyOnContext(ctx, e.inst.Kernels, e.sched, e.th, pl)
+		case pl != nil && sched.MaxWidth() <= pl.Width():
+			st, err = exec.RunFusedLegacyOnContext(ctx, e.inst.Kernels, sched, e.th, pl)
 		default:
-			st, err = exec.RunFusedLegacyContext(ctx, e.inst.Kernels, e.sched, e.th)
+			st, err = exec.RunFusedLegacyContext(ctx, e.inst.Kernels, sched, e.th)
 		}
 		if err == nil {
 			return st, nil
@@ -826,7 +910,8 @@ func (e *execState) runLadder(ctx context.Context, pl *exec.Pool) (exec.Stats, e
 		// The fault came from the packed or compiled artifacts. If the
 		// schedule itself no longer validates, no rung can run it — report
 		// both facts instead of retrying.
-		if verr := e.inst.Loops.Validate(e.sched); verr != nil {
+		sched, verr := e.revalidate()
+		if verr != nil {
 			return st, fmt.Errorf("sparsefusion: executor fault (%v) and schedule invalid: %w", err, verr)
 		}
 		var taken []Demotion
@@ -838,7 +923,7 @@ func (e *execState) runLadder(ctx context.Context, pl *exec.Pool) (exec.Stats, e
 				e.layErr = err.Error()
 				taken = []Demotion{{From: ModePacked, To: ModeCompiled, Reason: err.Error()}}
 			} else {
-				e.runner = nil
+				e.runner, e.sched = nil, sched
 				taken = []Demotion{{From: ModeCompiled, To: ModeLegacy, Reason: err.Error()}}
 			}
 			e.demotions = append(e.demotions, taken...)
@@ -848,10 +933,43 @@ func (e *execState) runLadder(ctx context.Context, pl *exec.Pool) (exec.Stats, e
 	}
 }
 
+// revalidate rebuilds the fusion input after an executor fault and returns
+// the schedule this state runs, checked against it. A state that keeps only
+// the program checks the program's decompiled schedule; when the program is
+// so corrupt that it no longer decompiles to a valid schedule, the fusion
+// input is re-inspected — ICO is deterministic, so that restores the
+// schedule the program was compiled from — and the fresh schedule, checked
+// the same way, is kept for the rest of the ladder.
+func (e *execState) revalidate() (*core.Schedule, error) {
+	loops, err := e.fusionInput()
+	if err != nil {
+		return nil, err
+	}
+	e.mu.Lock()
+	s := e.sched
+	e.mu.Unlock()
+	if s != nil {
+		return s, loops.Validate(s)
+	}
+	if s = e.prog.Decompile(); loops.Validate(s) == nil {
+		return s, nil
+	}
+	if s, err = core.ICO(loops, e.params()); err != nil {
+		return nil, err
+	}
+	if err := loops.Validate(s); err != nil {
+		return nil, err
+	}
+	e.mu.Lock()
+	e.sched = s
+	e.mu.Unlock()
+	return s, nil
+}
+
 // Session is one client's private handle on a shared operation: its own
 // input, output, and intermediate vectors (and its own executor ladder) over
-// the operation's immutable inspection artifacts — matrices, DAGs, schedule,
-// compiled program, packed streams. Any number of sessions may Run
+// the operation's immutable inspection artifacts — matrices, compiled
+// program, dispatch plan, packed streams. Any number of sessions may Run
 // concurrently with each other and with the parent operation; none of them
 // may be used concurrently with itself.
 type Session struct {
@@ -876,15 +994,17 @@ func (op *Operation) NewSession() (*Session, error) {
 	}
 	op.mu.Lock()
 	art := cache.Artifacts{
-		Schedule:   op.sched,
 		Program:    op.prog,
 		Plan:       op.plan,
 		ProgramErr: op.progErr,
 		Layout:     op.layout,
 		LayoutErr:  op.layErr,
 	}
+	if op.prog == nil {
+		art.Schedule = op.sched
+	}
 	op.mu.Unlock()
-	s := &Session{execState: execState{inst: clone, th: op.th, steal: op.steal, spin: op.spin, watchdog: op.watchdog, id: nextStateID.Add(1), tr: op.tr}}
+	s := &Session{execState: execState{inst: clone, th: op.th, lbc: op.lbc, steal: op.steal, spin: op.spin, watchdog: op.watchdog, id: nextStateID.Add(1), tr: op.tr}}
 	t0 := time.Now()
 	relaid := s.bindArtifacts(art, true)
 	s.tr.raw().Emit("session.new",
@@ -1062,7 +1182,7 @@ func (sv *Server) Stats() ServerStats {
 // fingerprint; NewOperationFromSchedule verifies it before trusting the
 // payload.
 func (op *Operation) SaveSchedule(w io.Writer) error {
-	return cache.WriteScheduleFile(w, op.fp, op.sched)
+	return cache.WriteScheduleFile(w, op.fp, op.schedule())
 }
 
 // ScheduleMismatchError reports a saved schedule rejected because the
@@ -1088,14 +1208,11 @@ func (e *ScheduleMismatchError) Error() string {
 // validated against the matrix's dependency structure, so a corrupt or
 // stale file is rejected rather than executed.
 func NewOperationFromSchedule(c Combination, m *Matrix, r io.Reader, opts Options) (*Operation, error) {
-	inst, err := combos.Build(combos.ID(c), m.csr)
+	inst, err := combos.New(combos.ID(c), m.csr)
 	if err != nil {
 		return nil, err
 	}
-	op := &Operation{
-		execState: execState{inst: inst, th: opts.threads(), steal: opts.Steal, spin: opts.SpinBudget, watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer},
-		fp:        opts.fingerprint(c, m),
-	}
+	op := &Operation{execState: newState(inst, opts), fp: opts.fingerprint(c, m)}
 	br := bufio.NewReader(r)
 	var sched *core.Schedule
 	if hdr, perr := br.Peek(8); perr == nil && cache.IsContainer(hdr) {
@@ -1113,7 +1230,7 @@ func NewOperationFromSchedule(c Combination, m *Matrix, r io.Reader, opts Option
 			return nil, err
 		}
 	}
-	if err := inst.Loops.Validate(sched); err != nil {
+	if err := op.validate(sched); err != nil {
 		return nil, fmt.Errorf("sparsefusion: saved schedule does not match this matrix: %w", err)
 	}
 	op.bindArtifacts(buildArtifacts(inst, sched, op.tr, op.id), false)
