@@ -22,8 +22,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSchedule$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMatrixMarket$$' -fuzztime $(FUZZTIME) ./internal/sparse
 
-# bench regenerates BENCH_exec.json: compiled-vs-legacy executor timings and
-# spin-barrier throughput on fixed-seed synthetic fixtures.
+# bench regenerates BENCH_exec.json: compiled and packed executor timings, the
+# re-layout's break-even run count, and spin-barrier throughput on fixed-seed
+# synthetic fixtures.
 bench:
 	$(GO) run ./cmd/spbench -mode exec -out BENCH_exec.json
 

@@ -2,8 +2,9 @@
 // fixtures and writes the results as JSON at the repository root:
 //
 //	-mode exec       — compiled executor (flat program + batch dispatch +
-//	                   spin-barrier pool) vs the legacy slice-walking
-//	                   executor (BENCH_exec.json)
+//	                   spin-barrier pool) vs the packed executor on the
+//	                   schedule-order re-layout, plus barrier throughput
+//	                   (BENCH_exec.json)
 //	-mode inspector  — the parallel, allocation-lean inspector vs the frozen
 //	                   serial reference (internal/refinspect), with
 //	                   per-stage timings and the break-even run count
@@ -95,7 +96,6 @@ import (
 	"sparsefusion/internal/exec"
 	"sparsefusion/internal/kernels"
 	"sparsefusion/internal/lbc"
-	"sparsefusion/internal/partition"
 	"sparsefusion/internal/refinspect"
 	"sparsefusion/internal/relayout"
 	"sparsefusion/internal/sparse"
@@ -110,21 +110,17 @@ type executorResult struct {
 	MaxWidth       int     `json:"max_width"`
 	Interleaved    bool    `json:"interleaved"`
 	CompiledNs     int64   `json:"compiled_ns_per_run"`
-	LegacyNs       int64   `json:"legacy_ns_per_run"`
 	CompiledNsIter float64 `json:"compiled_ns_per_iter"`
-	LegacyNsIter   float64 `json:"legacy_ns_per_iter"`
-	Speedup        float64 `json:"speedup_vs_legacy"`
 	// Packed columns: the same compiled program running against the
 	// schedule-order re-layout (internal/relayout). RelayoutNs is the
 	// one-time cost of building the layout; RelayoutBreakEvenRuns is how
 	// many executor runs amortize it against the per-run gain.
-	PackedNs                int64   `json:"packed_ns_per_run"`
-	PackedNsIter            float64 `json:"packed_ns_per_iter"`
-	SpeedupPacked           float64 `json:"speedup_packed_vs_compiled"`
-	RelayoutNs              int64   `json:"relayout_ns"`
-	RelayoutWords           int64   `json:"relayout_words"`
-	RelayoutBreakEvenRuns   float64 `json:"relayout_break_even_runs"`
-	SpeedupPackedVsUnpacked float64 `json:"speedup_packed_vs_legacy"`
+	PackedNs              int64   `json:"packed_ns_per_run"`
+	PackedNsIter          float64 `json:"packed_ns_per_iter"`
+	SpeedupPacked         float64 `json:"speedup_packed_vs_compiled"`
+	RelayoutNs            int64   `json:"relayout_ns"`
+	RelayoutWords         int64   `json:"relayout_words"`
+	RelayoutBreakEvenRuns float64 `json:"relayout_break_even_runs"`
 }
 
 type barrierResult struct {
@@ -453,7 +449,6 @@ func runExec(rep *report, threads, n int, minTime time.Duration) {
 			log.Fatalf("%s: compile: %v", fx.name, err)
 		}
 		compiled := measure(minTime, func() { runner.Run(threads) })
-		legacy := measure(minTime, func() { exec.RunFusedLegacy(ks, sched, threads) })
 
 		// Packed path: time the one-shot layout build, then the same runner
 		// with the layout attached.
@@ -483,21 +478,17 @@ func runExec(rep *report, threads, n int, minTime time.Duration) {
 			MaxWidth:       sched.MaxWidth(),
 			Interleaved:    sched.Interleaved,
 			CompiledNs:     compiled.Nanoseconds(),
-			LegacyNs:       legacy.Nanoseconds(),
 			CompiledNsIter: ratio(float64(compiled.Nanoseconds()), float64(iters)),
-			LegacyNsIter:   ratio(float64(legacy.Nanoseconds()), float64(iters)),
-			Speedup:        ratio(float64(legacy.Nanoseconds()), float64(compiled.Nanoseconds())),
 
-			PackedNs:                packed.Nanoseconds(),
-			PackedNsIter:            ratio(float64(packed.Nanoseconds()), float64(iters)),
-			SpeedupPacked:           ratio(float64(compiled.Nanoseconds()), float64(packed.Nanoseconds())),
-			RelayoutNs:              relayoutNs.Nanoseconds(),
-			RelayoutWords:           int64(lay.Words()),
-			RelayoutBreakEvenRuns:   breakEven,
-			SpeedupPackedVsUnpacked: ratio(float64(legacy.Nanoseconds()), float64(packed.Nanoseconds())),
+			PackedNs:              packed.Nanoseconds(),
+			PackedNsIter:          ratio(float64(packed.Nanoseconds()), float64(iters)),
+			SpeedupPacked:         ratio(float64(compiled.Nanoseconds()), float64(packed.Nanoseconds())),
+			RelayoutNs:            relayoutNs.Nanoseconds(),
+			RelayoutWords:         int64(lay.Words()),
+			RelayoutBreakEvenRuns: breakEven,
 		})
-		fmt.Printf("%-22s compiled %10v  packed %10v  legacy %10v  packed/compiled %.2fx  relayout %v (break-even %.1f runs)\n",
-			fx.name, compiled, packed, legacy,
+		fmt.Printf("%-22s compiled %10v  packed %10v  packed/compiled %.2fx  relayout %v (break-even %.1f runs)\n",
+			fx.name, compiled, packed,
 			ratio(float64(compiled), float64(packed)), relayoutNs, breakEven)
 	}
 
@@ -1163,19 +1154,17 @@ func executorEconomics(ks []kernels.Kernel, loops *core.Loops, sched *core.Sched
 	}
 	fused = measure(minTime, func() { runner.Run(threads) })
 
-	ps := make([]*partition.Partitioning, len(ks))
 	rs := make([]*exec.Runner, len(ks))
 	for i, k := range ks {
 		p, err := lbc.Schedule(k.DAG(), threads, lbc.Params{InitialCut: 3, Agg: 8})
 		if err != nil {
 			log.Fatalf("unfused lbc: %v", err)
 		}
-		ps[i] = p
-		if r, err := exec.CompilePartitioned(k, p); err == nil {
-			rs[i] = r
+		if rs[i], err = exec.CompilePartitioned(k, p); err != nil {
+			log.Fatalf("unfused compile: %v", err)
 		}
 	}
-	unfused = measure(minTime, func() { exec.RunChainCompiled(ks, rs, ps, threads) })
+	unfused = measure(minTime, func() { exec.RunChainCompiled(ks, rs, threads) })
 	return fused, unfused
 }
 

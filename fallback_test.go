@@ -2,19 +2,23 @@ package sparsefusion
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"sparsefusion/internal/cache"
-	"sparsefusion/internal/exec"
+	"sparsefusion/internal/chaos"
+	"sparsefusion/internal/combos"
 	"sparsefusion/internal/kernels"
+	"sparsefusion/internal/sparse"
 )
 
 // The degradation ladder under test: construction-time attach failures and
-// run-time executor faults demote an Operation packed -> compiled -> legacy,
-// each step re-validating the schedule, leaving the operation usable and its
-// results bit-identical to the reference executor. Numerical breakdowns, by
+// run-time executor faults demote an Operation packed -> compiled -> serial,
+// each fault re-validating the program, leaving the operation usable and its
+// results bit-identical to the serial reference. Numerical breakdowns, by
 // contrast, never demote — they are a property of the data, not the rung.
 
 // watchdog fails the test when fn does not return within the deadline — a
@@ -71,7 +75,7 @@ func TestCorruptSavedScheduleRejected(t *testing.T) {
 		}
 
 		// The untouched serialized schedule still loads, and the loaded
-		// operation's Run is bit-identical to the reference executor.
+		// operation's Run is bit-identical to the serial reference.
 		good, err := NewOperationFromSchedule(TrsvTrsv, m, bytes.NewReader(buf.Bytes()), Options{Threads: th})
 		if err != nil {
 			t.Fatalf("threads=%d: valid schedule rejected: %v", th, err)
@@ -79,20 +83,77 @@ func TestCorruptSavedScheduleRejected(t *testing.T) {
 		if err := watchdog(t, 10*time.Second, func() error { _, err := good.Run(); return err }); err != nil {
 			t.Fatalf("threads=%d: valid run failed: %v", th, err)
 		}
-		ref, err := NewOperation(TrsvTrsv, m, Options{Threads: th})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := exec.RunFusedLegacy(ref.inst.Kernels, ref.schedule(), th); err != nil {
-			t.Fatal(err)
-		}
-		got, want := good.Output(), ref.inst.Snapshot()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("threads=%d: output[%d] = %v, reference %v", th, i, got[i], want[i])
-			}
-		}
+		requireBitIdentical(t, fmt.Sprintf("threads=%d", th), good.Output(), sequentialOutput(t, TrsvTrsv, m))
 	}
+}
+
+// sequentialOutput runs combination c over m on a fresh instance through
+// combos.Instance.RunSequential — each kernel loop by loop, valid whatever
+// the schedule — and returns the result: the reference every rung is held to.
+func sequentialOutput(t *testing.T, c Combination, m *Matrix) []float64 {
+	t.Helper()
+	inst, err := combos.New(combos.ID(c), m.csr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inst.RunSequential(); err != nil {
+		t.Fatal(err)
+	}
+	return inst.Snapshot()
+}
+
+func requireBitIdentical(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	if !bitsSame(got, want) {
+		t.Fatalf("%s: output not bit-identical to the reference", label)
+	}
+}
+
+// requireCorruptProgramLadder corrupts op's program — shared by the packed
+// and compiled rungs — so that it no longer decompiles to a valid schedule,
+// runs op once and checks what the ladder must do with one fault: rebuild
+// the fusion input once, re-inspect, go straight from packed to serial with
+// both demotions on record, keep writing the inspected schedule, and stay
+// bit-identical to the serial reference.
+func requireCorruptProgramLadder(t *testing.T, label string, op *Operation, c Combination, m *Matrix) {
+	t.Helper()
+	if op.Mode() != ModePacked || op.sched != nil {
+		t.Fatalf("%s: operation on %s, keeps nested schedule %v", label, op.Mode(), op.sched != nil)
+	}
+	var saved bytes.Buffer
+	if err := op.SaveSchedule(&saved); err != nil {
+		t.Fatal(err)
+	}
+	prog := op.runner.Program()
+	prog.Iters[len(prog.Iters)-1] = kernels.PackIter(0, 1<<20)
+
+	before := combos.LoopBuilds()
+	if err := watchdog(t, 10*time.Second, func() error { _, err := op.Run(); return err }); err != nil {
+		t.Fatalf("%s: ladder did not absorb the fault: %v", label, err)
+	}
+	if got := combos.LoopBuilds() - before; got != 1 {
+		t.Fatalf("%s: %d fusion-input builds for one fault, want 1", label, got)
+	}
+	h := op.Health()
+	if h.Mode != ModeSerial || len(h.Demotions) != 2 ||
+		h.Demotions[0].From != ModePacked || h.Demotions[0].To != ModeCompiled ||
+		h.Demotions[1].From != ModeCompiled || h.Demotions[1].To != ModeSerial ||
+		h.Demotions[0].Reason != h.Demotions[1].Reason {
+		t.Fatalf("%s: health %+v, want packed->compiled->serial for one reason", label, h)
+	}
+	var after bytes.Buffer
+	if err := op.SaveSchedule(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saved.Bytes(), after.Bytes()) {
+		t.Fatalf("%s: SaveSchedule no longer writes the inspected schedule", label)
+	}
+	want := sequentialOutput(t, c, m)
+	requireBitIdentical(t, label+" (faulted run)", op.Output(), want)
+	if _, err := op.Run(); err != nil {
+		t.Fatalf("%s: demoted operation unusable: %v", label, err)
+	}
+	requireBitIdentical(t, label, op.Output(), want)
 }
 
 func TestRunFaultDemotesDownTheLadder(t *testing.T) {
@@ -102,50 +163,103 @@ func TestRunFaultDemotesDownTheLadder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if op.Mode() != ModePacked {
-			t.Fatalf("threads=%d: TrsvTrsv starts on %s, want packed", th, op.Mode())
-		}
-		// Corrupt the compiled program shared by the packed and compiled
-		// rungs. The schedule itself stays valid, so the ladder demotes twice
-		// and the legacy rung — which walks the schedule, not the program —
-		// completes the run.
-		prog := op.runner.Program()
-		prog.Iters[len(prog.Iters)-1] = kernels.PackIter(0, 1<<20)
-		err = watchdog(t, 10*time.Second, func() error { _, err := op.Run(); return err })
-		if err != nil {
-			t.Fatalf("threads=%d: ladder did not absorb the fault: %v", th, err)
-		}
-		h := op.Health()
-		if h.Mode != ModeLegacy {
-			t.Fatalf("threads=%d: mode %s after double fault, want legacy", th, h.Mode)
-		}
-		if len(h.Demotions) != 2 {
-			t.Fatalf("threads=%d: %d demotions recorded, want 2: %+v", th, len(h.Demotions), h.Demotions)
-		}
-		if h.Demotions[0].From != ModePacked || h.Demotions[0].To != ModeCompiled ||
-			h.Demotions[1].From != ModeCompiled || h.Demotions[1].To != ModeLegacy {
-			t.Fatalf("threads=%d: demotion chain %+v", th, h.Demotions)
-		}
-
-		// The demoted operation's subsequent valid Run is bit-identical to
-		// the reference executor on a fresh instance.
-		if _, err := op.Run(); err != nil {
-			t.Fatalf("threads=%d: demoted operation unusable: %v", th, err)
-		}
-		ref, err := NewOperation(TrsvTrsv, m, Options{Threads: th})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := exec.RunFusedLegacy(ref.inst.Kernels, ref.schedule(), th); err != nil {
-			t.Fatal(err)
-		}
-		got, want := op.Output(), ref.inst.Snapshot()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("threads=%d: output[%d] = %v, reference %v", th, i, got[i], want[i])
-			}
-		}
+		requireCorruptProgramLadder(t, fmt.Sprintf("threads=%d", th), op, TrsvTrsv, m)
 	}
+}
+
+// serialOperation returns a TrsvTrsv operation moved onto the serial rung,
+// where a fault on the compiled rung would leave it.
+func serialOperation(t *testing.T, m *Matrix) *Operation {
+	t.Helper()
+	op, err := NewOperation(TrsvTrsv, m, Options{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	demoteTo(&op.execState, ModeSerial)
+	if op.Mode() != ModeSerial {
+		t.Fatalf("mode %s with no runner, want serial", op.Mode())
+	}
+	return op
+}
+
+// TestSerialRungCancelledContext: the serial rung checks the context too — a
+// dead one returns the typed *CancelledError without touching the ladder —
+// and the operation stays usable, directly and on a server.
+func TestSerialRungCancelledContext(t *testing.T) {
+	m := RandomSPD(300, 4, 9)
+	op := serialOperation(t, m)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := op.RunContext(ctx)
+	var c *CancelledError
+	if !errors.As(err, &c) || c.SPartition != -1 {
+		t.Fatalf("got %T (%v), want *CancelledError at s-partition -1", err, err)
+	}
+	if h := op.Health(); h.Mode != ModeSerial || len(h.Demotions) != 0 {
+		t.Fatalf("cancellation changed health: %+v", h)
+	}
+	want := sequentialOutput(t, TrsvTrsv, m)
+	if _, err := op.Run(); err != nil {
+		t.Fatalf("operation unusable after cancellation: %v", err)
+	}
+	requireBitIdentical(t, "serial rung", op.Output(), want)
+	sv := NewServer(ServerConfig{MaxConcurrent: 1, Width: 1})
+	defer sv.Close()
+	if _, err := op.RunOn(sv); err != nil {
+		t.Fatalf("serial rung on a server: %v", err)
+	}
+	requireBitIdentical(t, "serial rung on a server", op.Output(), want)
+}
+
+// TestSerialRungRecoversInjectedPanic: a kernel panic on the last rung is
+// returned as an *ExecError — the process survives, nothing is left to
+// demote to — and the operation runs again once the kernel is sound.
+func TestSerialRungRecoversInjectedPanic(t *testing.T) {
+	m := RandomSPD(300, 4, 9)
+	op := serialOperation(t, m)
+	sound := op.inst.Kernels[1]
+	op.inst.Kernels[1] = chaos.NewPanic(sound, 150)
+	_, err := op.Run()
+	var xe *ExecError
+	if !errors.As(err, &xe) || xe.Breakdown() != nil {
+		t.Fatalf("got %T (%v), want a non-breakdown *ExecError", err, err)
+	}
+	if h := op.Health(); h.Mode != ModeSerial || len(h.Demotions) != 0 {
+		t.Fatalf("fault on the last rung changed health: %+v", h)
+	}
+	op.inst.Kernels[1] = sound
+	if _, err := op.Run(); err != nil {
+		t.Fatalf("operation unusable after the fault: %v", err)
+	}
+	requireBitIdentical(t, "serial rung", op.Output(), sequentialOutput(t, TrsvTrsv, m))
+}
+
+// TestGaussSeidelWithoutProgramRunsSerially: nine sweeps per fusion are 18
+// loops, beyond what a program can tag, so the solver runs its sweeps
+// serially. Both sweep kernels gather, so nine sweeps in one serial chain
+// equal three fused chains of three sweeps bit for bit.
+func TestGaussSeidelWithoutProgramRunsSerially(t *testing.T) {
+	m := Laplacian2D(12)
+	b := sparse.RandomVec(m.Rows(), 3)
+	var xs [][]float64
+	for _, sweeps := range []int{9, 3} {
+		gs, err := NewGaussSeidel(m, GSOptions{Options: Options{Threads: 2}, SweepsPerFusion: sweeps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (gs.run == nil) != (sweeps == 9) {
+			t.Fatalf("%d sweeps per fusion: compiled program %v", sweeps, gs.run != nil)
+		}
+		if gs.Barriers() <= 0 {
+			t.Fatalf("%d sweeps per fusion: %d barriers reported", sweeps, gs.Barriers())
+		}
+		x, done, err := gs.Solve(b, 0, 9)
+		if err != nil || done != 9 {
+			t.Fatalf("%d sweeps per fusion: %d sweeps, %v", sweeps, done, err)
+		}
+		xs = append(xs, x)
+	}
+	requireBitIdentical(t, "9 serial sweeps vs 3x3 fused", xs[0], xs[1])
 }
 
 func TestUnpackableChainRecordsConstructionDemotion(t *testing.T) {

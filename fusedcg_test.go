@@ -107,6 +107,9 @@ func TestFusedCGBitIdentical(t *testing.T) {
 					t.Fatalf("pre=%v th=%d steal=%v: %v", pre, th, steal, err)
 				}
 				if ref == nil {
+					if f.Mode() != ModePacked {
+						t.Fatalf("pre=%v: reference solve on %s, want packed", pre, f.Mode())
+					}
 					ref, refIt = x, it
 					continue
 				}
@@ -120,31 +123,28 @@ func TestFusedCGBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		// Demote off the packed rung: the compiled executor must agree bit
-		// for bit too.
-		f, err := NewFusedCG(m, FusedCGOptions{Options: Options{Threads: 4}, Precondition: pre, Tol: 1e-9, BlockSize: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.mu.Lock()
-		if f.runner != nil {
-			f.runner.DetachLayout()
-			f.layout = nil
-		}
-		f.mu.Unlock()
-		if f.Mode() != ModeCompiled {
-			t.Fatalf("pre=%v: mode %s after detach", pre, f.Mode())
-		}
-		x, it, _, err := f.Solve(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if it != refIt {
-			t.Fatalf("pre=%v compiled: %d iterations, reference %d", pre, it, refIt)
-		}
-		for i := range ref {
-			if x[i] != ref[i] {
-				t.Fatalf("pre=%v compiled: x[%d] = %x, reference %x", pre, i, x[i], ref[i])
+		// Demote off the packed rung: the compiled executor and the serial
+		// one must agree bit for bit too.
+		for _, mode := range []ExecMode{ModeCompiled, ModeSerial} {
+			f, err := NewFusedCG(m, FusedCGOptions{Options: Options{Threads: 4}, Precondition: pre, Tol: 1e-9, BlockSize: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			demoteTo(&f.execState, mode)
+			if f.Mode() != mode {
+				t.Fatalf("pre=%v: mode %s after demotion, want %s", pre, f.Mode(), mode)
+			}
+			x, it, _, err := f.Solve(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if it != refIt {
+				t.Fatalf("pre=%v %s: %d iterations, reference %d", pre, mode, it, refIt)
+			}
+			for i := range ref {
+				if x[i] != ref[i] {
+					t.Fatalf("pre=%v %s: x[%d] = %x, reference %x", pre, mode, i, x[i], ref[i])
+				}
 			}
 		}
 	}

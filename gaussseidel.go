@@ -23,12 +23,12 @@ type GaussSeidel struct {
 	x0   []float64 // sweep-chain input, shared with the first SpMV
 	xEnd []float64 // sweep-chain output
 	ks   []kernels.Kernel
-	// run is the compiled sweep chain. When the schedule exceeds the packed
-	// representation run is nil and the legacy executor walks sch, which is
-	// kept only then.
-	run *exec.Runner
-	sch *core.Schedule
-	th  int
+	// run is the compiled sweep chain; nil when the schedule exceeds the
+	// compiled representation (more than kernels.MaxLoops loops), and the
+	// sweeps then run serially. barriers is the schedule's s-partition count.
+	run      *exec.Runner
+	barriers int
+	th       int
 	// SweepsPerFusion is how many sweeps one fused execution performs.
 	SweepsPerFusion int
 }
@@ -84,9 +84,8 @@ func NewGaussSeidel(m *Matrix, opts GSOptions) (*GaussSeidel, error) {
 	if err != nil {
 		return nil, err
 	}
-	if g.run, err = exec.CompileFused(g.ks, sch); err != nil {
-		g.sch = sch
-	}
+	g.barriers = sch.NumSPartitions()
+	g.run, _ = exec.CompileFused(g.ks, sch)
 	return g, nil
 }
 
@@ -127,7 +126,7 @@ func (g *GaussSeidel) SolveContext(ctx context.Context, b []float64, tol float64
 		if g.run != nil {
 			_, err = g.run.RunContext(orBackground(ctx), g.th)
 		} else {
-			_, err = exec.RunFusedLegacyContext(orBackground(ctx), g.ks, g.sch, g.th)
+			_, err = exec.RunSerial(orBackground(ctx), g.ks)
 		}
 		if err != nil {
 			out := make([]float64, n)
@@ -170,10 +169,6 @@ func (g *GaussSeidel) SolveContext(ctx context.Context, b []float64, tol float64
 	return out, sweeps, nil
 }
 
-// Barriers reports the synchronizations per fused sweep chain.
-func (g *GaussSeidel) Barriers() int {
-	if g.run != nil {
-		return g.run.Program().NumSPartitions()
-	}
-	return g.sch.NumSPartitions()
-}
+// Barriers reports the synchronizations per fused sweep chain: the inspected
+// schedule's s-partition count, whichever executor runs it.
+func (g *GaussSeidel) Barriers() int { return g.barriers }

@@ -21,7 +21,7 @@ type Artifacts struct {
 	Schedule *core.Schedule
 	// Program is the schedule compiled to the flat executor form; nil when
 	// the schedule exceeds the compiled representation (ProgramErr says why),
-	// in which case consumers run the legacy executor on Schedule.
+	// in which case consumers run serially.
 	Program *core.Program
 	// Plan is the program's dispatch plan, set whenever Program is. Every
 	// consumer of the entry binds it to its own kernels (exec.Plan.Bind)

@@ -213,7 +213,7 @@ func TestResidentBytesTracksPublishAndEvict(t *testing.T) {
 	if st := c.Stats(); st.Evictions != 1 || st.ResidentBytes != e2.Bytes() {
 		t.Fatalf("after eviction: %d evictions, resident %d bytes, want 1 and %d", st.Evictions, st.ResidentBytes, e2.Bytes())
 	}
-	// A program-less (legacy-only) entry keeps its schedule, and the
+	// A program-less entry keeps its schedule, and the
 	// schedule's bytes are resident like any other artifact.
 	e3, err := c.GetOrBuild(testKey(3), Builder{
 		Inspect: func() (*core.Schedule, error) { return testSchedule(3), nil },
@@ -225,14 +225,14 @@ func TestResidentBytesTracksPublishAndEvict(t *testing.T) {
 		t.Fatal(err)
 	}
 	if e3.Program != nil || e3.Schedule == nil {
-		t.Fatalf("legacy-only entry keeps program %v, schedule %v", e3.Program, e3.Schedule)
+		t.Fatalf("program-less entry keeps program %v, schedule %v", e3.Program, e3.Schedule)
 	}
 	want := e3.Schedule.Resident()
 	if want < 16*int64(e3.Schedule.NumIterations()) || e3.Bytes() != want {
-		t.Fatalf("legacy-only entry counts %d bytes, schedule holds %d", e3.Bytes(), want)
+		t.Fatalf("program-less entry counts %d bytes, schedule holds %d", e3.Bytes(), want)
 	}
 	if st := c.Stats(); st.Evictions != 2 || st.ResidentBytes != want {
-		t.Fatalf("after legacy-only publish: %d evictions, resident %d bytes, want 2 and %d", st.Evictions, st.ResidentBytes, want)
+		t.Fatalf("after program-less publish: %d evictions, resident %d bytes, want 2 and %d", st.Evictions, st.ResidentBytes, want)
 	}
 }
 

@@ -112,7 +112,8 @@ func (c *Chain) Barriers(scheds []*core.Schedule) int {
 
 // SparseFusion inspects every group with ICO and compiles it; execution runs
 // the groups back to back, summing executor statistics (Stats.Barriers is
-// the observed barriers-per-pass the chain benchmark reports).
+// the observed barriers-per-pass the chain benchmark reports). A group too
+// big for the compiled form fails inspection.
 func (c *Chain) SparseFusion(threads int, lp lbc.Params) (*Impl, []*core.Schedule) {
 	scheds := make([]*core.Schedule, len(c.Groups))
 	runners := make([]*exec.Runner, len(c.Groups))
@@ -125,22 +126,16 @@ func (c *Chain) SparseFusion(threads int, lp lbc.Params) (*Impl, []*core.Schedul
 					return err
 				}
 				scheds[i] = s
-				// Groups too big for the compiled form fall back to the
-				// legacy walker at execution, like Instance.SparseFusion.
-				runners[i], _ = exec.CompileFused(g.Kernels, s)
+				if runners[i], err = exec.CompileFused(g.Kernels, s); err != nil {
+					return err
+				}
 			}
 			return nil
 		},
 		execute: func() (exec.Stats, error) {
 			var tot exec.Stats
-			for i, g := range c.Groups {
-				var st exec.Stats
-				var err error
-				if runners[i] != nil {
-					st, err = runners[i].Run(threads)
-				} else {
-					st, err = exec.RunFusedLegacy(g.Kernels, scheds[i], threads)
-				}
+			for _, r := range runners {
+				st, err := r.Run(threads)
 				tot.Elapsed += st.Elapsed
 				tot.Barriers += st.Barriers
 				tot.PotentialGain += st.PotentialGain

@@ -175,7 +175,7 @@ func (b *ProgramBuilder) Finish() *Program {
 // CompileSchedule flattens an ICO schedule for a chain of numLoops kernels
 // into a Program. It fails only when the schedule's shape exceeds the packed
 // representation (too many loops, or a trip count beyond the index bits);
-// callers keep the slice-walking executor as the fallback for that case.
+// callers run such a chain serially.
 func CompileSchedule(s *Schedule, numLoops int) (*Program, error) {
 	b, err := NewProgramBuilder(numLoops)
 	if err != nil {
@@ -201,8 +201,8 @@ func CompileSchedule(s *Schedule, numLoops int) (*Program, error) {
 
 // Decompile expands the program back into the three-level schedule it was
 // compiled from (byte-identical Schedule.Bytes). Holders of a program keep
-// no nested schedule: they decompile one for what still walks or stores it —
-// the legacy executor, Loops.Validate, and schedule files.
+// no nested schedule: they decompile one for what still reads or stores it —
+// Loops.Validate and schedule files.
 func (p *Program) Decompile() *Schedule {
 	s := &Schedule{Interleaved: p.Interleaved, ReuseRatio: p.ReuseRatio}
 	for si := 0; si < p.NumSPartitions(); si++ {

@@ -226,25 +226,22 @@ func TestCancelVsFaultRace(t *testing.T) {
 	}
 }
 
-func TestLegacyExecutorCancelTyped(t *testing.T) {
-	for _, th := range faultWorkerCounts {
-		loops, ks, _ := fusedTrsvMv(400, int64(th))
-		p := icoParams()
-		p.Threads = th
-		sched, err := core.ICO(loops, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		err = watchdog(t, 10*time.Second, func() error {
-			_, err := RunFusedLegacyContext(ctx, ks, sched, th)
-			return err
-		})
-		var c *CancelledError
-		if !errors.As(err, &c) {
-			t.Fatalf("th=%d: legacy executor got %T (%v), want *CancelledError", th, err, err)
-		}
+// TestRunSerialCancelTyped: the serial executor checks its context before
+// each kernel, so a dead context returns a *CancelledError naming no
+// s-partition, and the kernels stay runnable.
+func TestRunSerialCancelTyped(t *testing.T) {
+	want := serialRef(fusedTrsvMv, 400, 5)
+	_, ks, snap := fusedTrsvMv(400, 5)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := RunSerial(ctx, ks)
+	var c *CancelledError
+	if !errors.As(err, &c) || c.SPartition != -1 || !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %T (%v), want *CancelledError at s-partition -1", err, err)
+	}
+	mustRun(RunSerial(context.Background(), ks))
+	if got := snap(); !bitsSame(got, want) {
+		t.Fatal("serial run after a cancelled one diverges from the reference")
 	}
 }
 

@@ -213,8 +213,6 @@ func TestChainBitIdenticalAcrossExecutors(t *testing.T) {
 				t.Fatalf("%s: first-touch pack: %v", name, err)
 			}
 			run("stealing", func() (Stats, error) { return rs.Run(workers) })
-
-			run("legacy", func() (Stats, error) { return RunFusedLegacy(fx.ks, sched, workers) })
 		}
 	}
 }

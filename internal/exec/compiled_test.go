@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -12,12 +13,22 @@ import (
 	"sparsefusion/internal/wavefront"
 )
 
+// serialRef runs a fresh copy of a fixture through RunSerial: the reference
+// output every executor of the same fixture is compared with.
+func serialRef(mk comboFn, n int, seed int64) []float64 {
+	_, ks, snap := mk(n, seed)
+	mustRun(RunSerial(context.Background(), ks))
+	return snap()
+}
+
 // TestCompiledMatchesLegacyBitIdentical: on width-1 schedules (ICO at
-// Threads=1) both executors run strictly sequentially in the same order with
-// the same arithmetic, so outputs must match bit for bit, as must the
-// barrier count.
+// Threads=1) the compiled executor runs strictly sequentially, so outputs
+// must match the serial reference bit for bit (within scatterBound for the
+// scatter combinations), and the run pays one barrier per s-partition of the
+// program.
 func TestCompiledMatchesLegacyBitIdentical(t *testing.T) {
 	for name, mk := range combos {
+		want := serialRef(mk, 300, 7)
 		for _, reuse := range []float64{0.5, 1.5} {
 			loops, ks, snap := mk(300, 7)
 			p := core.Params{Threads: 1, ReuseRatio: reuse, LBC: lbc.Params{InitialCut: 3, Agg: 8}}
@@ -25,21 +36,17 @@ func TestCompiledMatchesLegacyBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			stL := mustRun(RunFusedLegacy(ks, sched, 1))
-			legacy := snap()
 			r, err := CompileFused(ks, sched)
 			if err != nil {
 				t.Fatalf("%s: compile: %v", name, err)
 			}
-			stC := mustRun(r.Run(1))
-			compiled := snap()
-			for i := range legacy {
-				if compiled[i] != legacy[i] {
-					t.Fatalf("%s reuse %v: output[%d] = %v, legacy %v", name, reuse, i, compiled[i], legacy[i])
-				}
+			st := mustRun(r.Run(1))
+			got := snap()
+			if !matchesSerial(name, got, want) {
+				t.Fatalf("%s reuse %v: output diverges from serial by %v", name, reuse, sparse.RelErr(got, want))
 			}
-			if stC.Barriers != stL.Barriers {
-				t.Fatalf("%s reuse %v: %d barriers, legacy %d", name, reuse, stC.Barriers, stL.Barriers)
+			if st.Barriers != r.Program().NumSPartitions() {
+				t.Fatalf("%s reuse %v: %d barriers, program has %d s-partitions", name, reuse, st.Barriers, r.Program().NumSPartitions())
 			}
 		}
 	}
@@ -47,10 +54,11 @@ func TestCompiledMatchesLegacyBitIdentical(t *testing.T) {
 
 // TestCompiledMatchesLegacyParallel: wide schedules run scatter kernels in
 // atomic mode, whose accumulation order is nondeterministic, so parallel
-// equivalence is up to floating-point reassociation plus an exact barrier
-// count.
+// equivalence with the serial reference is up to floating-point
+// reassociation plus an exact barrier count.
 func TestCompiledMatchesLegacyParallel(t *testing.T) {
 	for name, mk := range combos {
+		want := serialRef(mk, 300, 7)
 		for _, reuse := range []float64{0.5, 1.5} {
 			loops, ks, snap := mk(300, 7)
 			p := icoParams()
@@ -59,19 +67,17 @@ func TestCompiledMatchesLegacyParallel(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			stL := mustRun(RunFusedLegacy(ks, sched, threads))
-			legacy := snap()
 			r, err := CompileFused(ks, sched)
 			if err != nil {
 				t.Fatalf("%s: compile: %v", name, err)
 			}
 			for rep := 0; rep < 3; rep++ {
-				stC := mustRun(r.Run(threads))
-				if e := sparse.RelErr(snap(), legacy); e > 1e-9 {
-					t.Fatalf("%s reuse %v rep %d: compiled diverges from legacy by %v", name, reuse, rep, e)
+				st := mustRun(r.Run(threads))
+				if e := sparse.RelErr(snap(), want); e > 1e-9 {
+					t.Fatalf("%s reuse %v rep %d: compiled diverges from serial by %v", name, reuse, rep, e)
 				}
-				if stC.Barriers != stL.Barriers {
-					t.Fatalf("%s reuse %v: %d barriers, legacy %d", name, reuse, stC.Barriers, stL.Barriers)
+				if st.Barriers != r.Program().NumSPartitions() {
+					t.Fatalf("%s reuse %v: %d barriers, program has %d s-partitions", name, reuse, st.Barriers, r.Program().NumSPartitions())
 				}
 			}
 		}
@@ -80,7 +86,7 @@ func TestCompiledMatchesLegacyParallel(t *testing.T) {
 
 // TestCompiledPartitionedMatchesLegacy: SpTRSV-CSR gathers (no scatter), so
 // its per-row arithmetic order is fixed and even parallel partitioned runs
-// must be bit-identical to the legacy executor.
+// must be bit-identical to the serial reference.
 func TestCompiledPartitionedMatchesLegacy(t *testing.T) {
 	a := sparse.Must(sparse.RandomSPD(400, 5, 9))
 	l := a.Lower()
@@ -91,20 +97,28 @@ func TestCompiledPartitionedMatchesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stL := mustRun(RunPartitionedLegacy(k, lb, threads))
-	legacy := append([]float64(nil), x...)
-	stC := mustRun(RunPartitioned(k, lb, threads))
-	for i := range legacy {
-		if x[i] != legacy[i] {
-			t.Fatalf("x[%d] = %v, legacy %v", i, x[i], legacy[i])
+	mustRun(RunSerial(context.Background(), []kernels.Kernel{k}))
+	want := append([]float64(nil), x...)
+	for i := range x {
+		x[i] = 0
+	}
+	r, err := CompilePartitioned(k, lb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := mustRun(r.Run(threads))
+	for i := range want {
+		if x[i] != want[i] {
+			t.Fatalf("x[%d] = %v, serial %v", i, x[i], want[i])
 		}
 	}
-	if stC.Barriers != stL.Barriers {
-		t.Fatalf("%d barriers, legacy %d", stC.Barriers, stL.Barriers)
+	if st.Barriers != r.Program().NumSPartitions() || st.Barriers != len(lb.S) {
+		t.Fatalf("%d barriers, program has %d s-partitions, partitioning %d", st.Barriers, r.Program().NumSPartitions(), len(lb.S))
 	}
 }
 
 func TestCompiledJointMatchesLegacy(t *testing.T) {
+	want := serialRef(fusedTrsvMv, 350, 11)
 	loops, ks, snap := fusedTrsvMv(350, 11)
 	joint, err := dag.Joint(loops.G[0], loops.G[1], loops.F[0])
 	if err != nil {
@@ -114,14 +128,16 @@ func TestCompiledJointMatchesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stL := mustRun(RunJointLegacy(ks[0], ks[1], wf, threads))
-	legacy := snap()
-	stC := mustRun(RunJoint(ks[0], ks[1], wf, threads))
-	if e := sparse.RelErr(snap(), legacy); e > 1e-9 {
-		t.Fatalf("joint compiled diverges from legacy by %v", e)
+	r, err := CompileJoint(ks[0], ks[1], wf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stC.Barriers != stL.Barriers {
-		t.Fatalf("%d barriers, legacy %d", stC.Barriers, stL.Barriers)
+	st := mustRun(r.Run(threads))
+	if e := sparse.RelErr(snap(), want); e > 1e-9 {
+		t.Fatalf("joint compiled diverges from serial by %v", e)
+	}
+	if st.Barriers != r.Program().NumSPartitions() || st.Barriers != len(wf.S) {
+		t.Fatalf("%d barriers, program has %d s-partitions, partitioning %d", st.Barriers, r.Program().NumSPartitions(), len(wf.S))
 	}
 }
 
@@ -185,11 +201,9 @@ func benchFused(b testing.TB, n int, reuse float64) ([]kernels.Kernel, *core.Sch
 	return []kernels.Kernel{k1, k2}, sched
 }
 
-// BenchmarkFusedExecutor compares the compiled executor against the legacy
-// slice walker on the SpTRSV -> SpMV pair at 8 w-partitions (the ISSUE's
-// acceptance benchmark). Both run on the same spin-barrier pool, so the
-// delta isolates dispatch: flat tagged stream + batch/pair bodies versus
-// per-iteration interface calls.
+// BenchmarkFusedExecutor times the compiled executor on the SpTRSV -> SpMV
+// pair at 8 w-partitions, separated and interleaved: flat tagged stream plus
+// batch/pair bodies on the spin-barrier pool.
 func BenchmarkFusedExecutor(b *testing.B) {
 	for _, tc := range []struct {
 		name  string
@@ -206,11 +220,6 @@ func BenchmarkFusedExecutor(b *testing.B) {
 		b.Run(tc.name+"/compiled", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r.Run(8)
-			}
-		})
-		b.Run(tc.name+"/legacy", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				RunFusedLegacy(ks, sched, 8)
 			}
 		})
 	}

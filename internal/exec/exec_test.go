@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -81,6 +82,10 @@ func fusedDscalIlu0(n int, seed int64) (*core.Loops, []kernels.Kernel, func() []
 	if err != nil {
 		panic(err)
 	}
+	// DSCAL rewrites every entry of work on each run, so it owns the replay;
+	// the factor restoring its own snapshot would clobber the chain in
+	// kernel-at-a-time order (RunSerial), as in combos.DscalIlu0.
+	k2.DisableRestore()
 	loops := &core.Loops{
 		G: []*dag.Graph{k1.DAG(), k2.DAG()},
 		F: []*sparse.CSR{core.FDiagonal(n)},
@@ -89,6 +94,23 @@ func fusedDscalIlu0(n int, seed int64) (*core.Loops, []kernels.Kernel, func() []
 }
 
 type comboFn func(int, int64) (*core.Loops, []kernels.Kernel, func() []float64)
+
+// scatterCombos scatter into shared output elements (SpMV-CSC, the CSC
+// triangular solve), so even a width-1 fused order may add into one element
+// in another order than the serial reference: they are held to scatterBound
+// instead of bit-identity.
+var scatterCombos = map[string]bool{"trsv-mv": true, "ic0-trsv": true}
+
+const scatterBound = 1e-12
+
+// matchesSerial reports whether got equals the serial reference want: bit for
+// bit, or within scatterBound relative error for the scatter combinations.
+func matchesSerial(name string, got, want []float64) bool {
+	if scatterCombos[name] {
+		return sparse.RelErr(got, want) <= scatterBound
+	}
+	return bitsSame(got, want)
+}
 
 var combos = map[string]comboFn{
 	"trsv-mv":    fusedTrsvMv,
@@ -231,16 +253,18 @@ func TestRunChain(t *testing.T) {
 	}
 }
 
-func TestRunSequentialKernel(t *testing.T) {
-	a := sparse.Must(sparse.RandomSPD(100, 4, 15))
-	x, y := sparse.RandomVec(100, 16), make([]float64, 100)
-	k := kernels.NewSpMVCSR(a, x, y)
-	st := mustRun(RunSequentialKernel(k))
+func TestRunSerial(t *testing.T) {
+	_, ks, snap := fusedTrsvMv(100, 15)
+	st := mustRun(RunSerial(context.Background(), ks))
 	if st.Elapsed <= 0 {
 		t.Fatal("no elapsed time")
 	}
 	if st.Barriers != 0 {
-		t.Fatal("sequential run should report no barriers")
+		t.Fatal("serial run should report no barriers")
+	}
+	_, ref, refSnap := fusedTrsvMv(100, 15)
+	if !bitsSame(snap(), seqResult(ref, refSnap)) {
+		t.Fatal("serial run diverges from the kernel-by-kernel reference")
 	}
 }
 
@@ -258,46 +282,6 @@ func TestSingleThreadNoAtomics(t *testing.T) {
 	// Atomic mode must be off after the run.
 	if ks[1].(*kernels.SpMVCSC).Atomic {
 		t.Fatal("atomic mode left enabled")
-	}
-}
-
-func TestRunFusedTraced(t *testing.T) {
-	loops, ks, snap := fusedTrsvTrsv(200, 21)
-	want := seqResult(ks, snap)
-	sched, err := core.ICO(loops, icoParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, spans, err := RunFusedTraced(ks, sched, threads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := snap(); sparse.RelErr(got, want) > 1e-9 {
-		t.Fatal("traced run diverges")
-	}
-	if len(spans) == 0 {
-		t.Fatal("no spans recorded")
-	}
-	// One span per w-partition, grouped by s-partition in order.
-	total := 0
-	for _, sp := range sched.S {
-		total += len(sp)
-	}
-	if len(spans) != total {
-		t.Fatalf("spans = %d, want %d", len(spans), total)
-	}
-	iters := 0
-	for _, s := range spans {
-		iters += s.Iters
-		if s.Duration < 0 || s.Start < 0 {
-			t.Fatalf("negative timing in span %+v", s)
-		}
-	}
-	if iters != sched.NumIterations() {
-		t.Fatalf("span iters %d != schedule %d", iters, sched.NumIterations())
-	}
-	if st.Barriers != sched.NumSPartitions() {
-		t.Fatal("barrier count wrong")
 	}
 }
 

@@ -13,9 +13,8 @@ import (
 // plan unit finds its stream cursors in Layout.SegEnt and Program.SegIter.
 // The hot loop then reads compact int32 indices and float64 values with a
 // single advancing cursor per stream instead of pointer-chasing P[i] into
-// matrix-order arrays. The compiled-unpacked path
-// (runW) and the slice-walking legacy executors remain as the reference
-// implementations the packed path is cross-checked against.
+// matrix-order arrays. The compiled-unpacked path (runW) and RunSerial remain
+// as the references the packed path is checked against.
 
 // AttachLayout binds a schedule-order re-layout to the runner and switches
 // Run to the packed path. The layout must have been built for this runner's

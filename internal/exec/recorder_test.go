@@ -44,8 +44,8 @@ func TestRecorderCapturesCompiledRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	spans := rec.Spans()
-	// One span per w-partition per barrier: the legacy tracer walking the
-	// same schedule defines the expected population.
+	// One span per w-partition per barrier: the schedule's shape defines the
+	// expected population.
 	wantSpans := 0
 	for _, sp := range sched.S {
 		wantSpans += len(sp)

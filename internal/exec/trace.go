@@ -4,9 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"time"
-
-	"sparsefusion/internal/core"
-	"sparsefusion/internal/kernels"
 )
 
 // Span records one w-partition's execution for timeline visualization.
@@ -16,47 +13,6 @@ type Span struct {
 	Start      time.Duration `json:"start_ns"`
 	Duration   time.Duration `json:"dur_ns"`
 	Iters      int           `json:"iters"`
-}
-
-// RunFusedTraced executes like RunFused while recording one Span per
-// w-partition, for schedule visualization (cmd/spfuse -trace). On a worker
-// fault the spans recorded so far are returned alongside the error — the
-// partial timeline is exactly what explains the fault.
-func RunFusedTraced(ks []kernels.Kernel, sched *core.Schedule, threads int) (Stats, []Span, error) {
-	parallel := threads > 1 && sched.MaxWidth() > 1
-	setAtomics(ks, parallel)
-	defer setAtomics(ks, false)
-	var st Stats
-	var spans []Span
-	t0 := time.Now()
-	for _, k := range ks {
-		k.Prepare()
-	}
-	pl := newPool(sched.MaxWidth())
-	defer pl.close()
-	durs := make([]time.Duration, sched.MaxWidth())
-	starts := make([]time.Duration, sched.MaxWidth())
-	for si, sp := range sched.S {
-		pl.run(len(sp), func(w int) {
-			starts[w] = time.Since(t0)
-			for _, it := range sp[w] {
-				ks[it.Loop].Run(it.Idx)
-			}
-		}, durs[:len(sp)])
-		accumulate(&st, durs[:len(sp)], threads)
-		for w := range sp {
-			spans = append(spans, Span{
-				SPartition: si, WPartition: w,
-				Start: starts[w], Duration: durs[w], Iters: len(sp[w]),
-			})
-		}
-		if f := pl.takeFault(); f != nil {
-			st.Elapsed = time.Since(t0)
-			return st, spans, f.execError(si, -1)
-		}
-	}
-	st.Elapsed = time.Since(t0)
-	return st, spans, nil
 }
 
 // WriteChromeTrace emits the spans in the Chrome trace-event format

@@ -13,9 +13,8 @@ import "sparsefusion/internal/atomicf"
 // packing step creates is realized in the memory system.
 //
 // The packed bodies replay the exact arithmetic of the Run/RunMany bodies in
-// the same order, so packed outputs are bit-identical to the legacy and
-// compiled-unpacked executors (asserted by tests in this package and
-// internal/exec).
+// the same order, so packed outputs are bit-identical to the compiled-unpacked
+// executor (asserted by tests in this package and internal/exec).
 
 // PackedStream is one loop's sparse operand re-laid-out into schedule
 // execution order. Entries of consecutive scheduled iterations are adjacent:

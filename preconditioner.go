@@ -1,6 +1,7 @@
 package sparsefusion
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -23,11 +24,12 @@ type IC0Preconditioner struct {
 	r  []float64 // input slot shared with the forward kernel
 	z  []float64 // output of the backward kernel
 	ks []kernels.Kernel
-	// run is the compiled apply; nil falls back to the legacy executor on
-	// sched, which is kept only then.
-	run   *exec.Runner
-	sched *core.Schedule
-	th    int
+	// run is the compiled apply; nil when the schedule does not compile, and
+	// the two solves then run serially. barriers is the schedule's
+	// s-partition count.
+	run      *exec.Runner
+	barriers int
+	th       int
 }
 
 // NewIC0Preconditioner factors tril(A) with IC0 and inspects the fused
@@ -70,9 +72,8 @@ func NewIC0Preconditioner(m *Matrix, opts Options) (*IC0Preconditioner, error) {
 	if err := loops.Validate(sched); err != nil {
 		return nil, fmt.Errorf("sparsefusion: internal schedule error: %w", err)
 	}
-	if p.run, err = exec.CompileFused(p.ks, sched); err != nil {
-		p.sched = sched
-	}
+	p.barriers = sched.NumSPartitions()
+	p.run, _ = exec.CompileFused(p.ks, sched)
 	return p, nil
 }
 
@@ -89,7 +90,7 @@ func (p *IC0Preconditioner) Apply(r, z []float64) ([]float64, error) {
 	if p.run != nil {
 		_, err = p.run.Run(p.th)
 	} else {
-		_, err = exec.RunFusedLegacy(p.ks, p.sched, p.th)
+		_, err = exec.RunSerial(context.Background(), p.ks)
 	}
 	if err != nil {
 		var b *kernels.BreakdownError
@@ -105,17 +106,13 @@ func (p *IC0Preconditioner) Apply(r, z []float64) ([]float64, error) {
 	return z, nil
 }
 
-// Barriers reports the synchronizations per apply.
-func (p *IC0Preconditioner) Barriers() int {
-	if p.run != nil {
-		return p.run.Program().NumSPartitions()
-	}
-	return p.sched.NumSPartitions()
-}
+// Barriers reports the synchronizations per apply: the inspected schedule's
+// s-partition count, whichever executor runs it.
+func (p *IC0Preconditioner) Barriers() int { return p.barriers }
 
-// MulVec computes A*x with a row-parallel sparse matrix-vector product and
-// returns the result, a convenience for building iterative methods around
-// the fused operations.
+// MulVec computes A*x with a serial row-by-row sparse matrix-vector product
+// and returns the result, a convenience for building iterative methods
+// around the fused operations.
 func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 	if len(x) != m.csr.Cols {
 		return nil, fmt.Errorf("sparsefusion: mulvec length %d, want %d", len(x), m.csr.Cols)

@@ -1,7 +1,7 @@
 package sparsefusion
 
 import (
-	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -9,8 +9,6 @@ import (
 	"sparsefusion/internal/combos"
 	"sparsefusion/internal/core"
 	"sparsefusion/internal/dag"
-	"sparsefusion/internal/exec"
-	"sparsefusion/internal/kernels"
 	"sparsefusion/internal/sparse"
 )
 
@@ -168,10 +166,9 @@ func TestStatesAndEntriesKeepNoInspectionInputs(t *testing.T) {
 
 // TestLadderRebuildsFusionInputAfterCorruptProgram: with the loops gone, a
 // run-time fault rebuilds G and F to re-validate. A corrupt program no longer
-// decompiles to a valid schedule, so the state re-inspects; the ladder still
-// demotes packed -> compiled -> legacy exactly as when the state kept its
-// schedule, the legacy rung runs the original schedule (same SaveSchedule
-// bytes) and stays bit-identical to the reference executor.
+// decompiles to a valid schedule, so the state re-inspects, keeps that
+// schedule for SaveSchedule and goes straight to the serial rung — here for
+// an operation bound through the cache.
 func TestLadderRebuildsFusionInputAfterCorruptProgram(t *testing.T) {
 	m := RandomSPD(300, 4, 9)
 	for _, th := range []int{1, 2, 4} {
@@ -180,53 +177,7 @@ func TestLadderRebuildsFusionInputAfterCorruptProgram(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var saved bytes.Buffer
-		if err := op.SaveSchedule(&saved); err != nil {
-			t.Fatal(err)
-		}
-		if op.Mode() != ModePacked || op.sched != nil {
-			t.Fatalf("threads=%d: operation on %s, keeps nested schedule %v", th, op.Mode(), op.sched != nil)
-		}
-		prog := op.runner.Program()
-		prog.Iters[len(prog.Iters)-1] = kernels.PackIter(0, 1<<20)
-
-		before := combos.LoopBuilds()
-		if err := watchdog(t, 10*time.Second, func() error { _, err := op.Run(); return err }); err != nil {
-			t.Fatalf("threads=%d: ladder did not absorb the fault: %v", th, err)
-		}
-		if got := combos.LoopBuilds() - before; got != 2 {
-			t.Fatalf("threads=%d: %d fusion-input builds for two demotions, want 2", th, got)
-		}
-		h := op.Health()
-		if h.Mode != ModeLegacy || len(h.Demotions) != 2 ||
-			h.Demotions[0].From != ModePacked || h.Demotions[0].To != ModeCompiled ||
-			h.Demotions[1].From != ModeCompiled || h.Demotions[1].To != ModeLegacy {
-			t.Fatalf("threads=%d: health %+v, want packed->compiled->legacy", th, h)
-		}
-		var after bytes.Buffer
-		if err := op.SaveSchedule(&after); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(saved.Bytes(), after.Bytes()) {
-			t.Fatalf("threads=%d: the legacy rung does not run the inspected schedule", th)
-		}
-
-		ref, err := NewOperation(TrsvTrsv, m, Options{Threads: th})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := exec.RunFusedLegacy(ref.inst.Kernels, ref.schedule(), th); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := op.Run(); err != nil {
-			t.Fatalf("threads=%d: demoted operation unusable: %v", th, err)
-		}
-		got, want := op.Output(), ref.inst.Snapshot()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("threads=%d: output[%d] = %v, reference %v", th, i, got[i], want[i])
-			}
-		}
+		requireCorruptProgramLadder(t, fmt.Sprintf("threads=%d", th), op, TrsvTrsv, m)
 	}
 }
 
